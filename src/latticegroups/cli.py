@@ -16,12 +16,11 @@ import sys
 from .cocycles import PerturbedCocycle, ScaledCocycle, canonical_cocycle, cocycle_index
 from .homology import NotACycleError, algebraic_area, decompose_cycle, plaquette_sum_from_json
 from .lattice import evaluate_path
-from .metabelian import MetabelianElement, fox_image, word_problem
+from .metabelian import MetabelianElement, fox_image
 from .nilpotent import HeisenbergElement
 from .words import RankMismatchError, WordSyntaxError, parse_word
 from . import satellite
 
-GROUPS = ("free", "abelian", "heisenberg", "metabelian", "satellite")
 SUBGROUPS = ("N", "M", "commutant")
 
 _ERRORS = (WordSyntaxError, RankMismatchError, NotACycleError, ValueError, OSError)
@@ -58,59 +57,50 @@ def _fmt_areas(elem) -> str:
     return "[" + ", ".join(f"({i},{j}):{value:+d}" for (i, j), value in elem.areas()) + "]"
 
 
-def _cmd_reduce(args) -> tuple[str, int]:
-    word = parse_word(args.word, args.d)
-    return (_dumps({"word": str(word)}) if args.json else str(word)), 0
+# group -> (evaluate(text, args), human(value), json(value)). eval prints one
+# evaluated value; eq compares two with ==. The lambdas look names up at call
+# time, so a function rebound on its module (as perfbench's tracer does) is
+# the one they call.
+REGISTRY = {
+    "free": (
+        lambda text, args: parse_word(text, args.d),
+        str,
+        lambda word: {"word": str(word)},
+    ),
+    "abelian": (
+        lambda text, args: evaluate_path(parse_word(text, args.d)).endpoint,
+        _fmt_vec,
+        lambda endpoint: {"endpoint": list(endpoint)},
+    ),
+    "heisenberg": (
+        lambda text, args: HeisenbergElement.from_word(parse_word(text, args.d)),
+        lambda elem: f"endpoint={_fmt_vec(elem.endpoint)} areas={_fmt_areas(elem)}",
+        lambda elem: elem.as_json(),
+    ),
+    "metabelian": (
+        lambda text, args: MetabelianElement.from_word(parse_word(text, args.d)),
+        lambda elem: f"endpoint={_fmt_vec(elem.endpoint)} flow={_fmt_flow(elem.flow)}",
+        lambda elem: elem.as_json(),
+    ),
+    "satellite": (
+        lambda text, args: satellite.from_word(text, args.k),
+        lambda elem: f"k={elem.k} vec={_fmt_vec(elem.vec)} cycle={_fmt_flow(elem.cycle)}",
+        lambda elem: elem.as_json(),
+    ),
+}
 
 
 def _cmd_eval(args) -> tuple[str, int]:
-    if args.group == "satellite":
-        elem = satellite.from_word(args.word, args.k)
-        if args.json:
-            return _dumps(elem.as_json()), 0
-        return f"k={elem.k} vec={_fmt_vec(elem.vec)} cycle={_fmt_flow(elem.cycle)}", 0
-    word = parse_word(args.word, args.d)
-    if args.group == "free":
-        return (_dumps({"word": str(word)}) if args.json else str(word)), 0
-    if args.group == "abelian":
-        endpoint = evaluate_path(word).endpoint
-        return (_dumps({"endpoint": list(endpoint)}) if args.json else _fmt_vec(endpoint)), 0
-    if args.group == "heisenberg":
-        elem = HeisenbergElement.from_word(word)
-        if args.json:
-            return _dumps(elem.as_json()), 0
-        return f"endpoint={_fmt_vec(elem.endpoint)} areas={_fmt_areas(elem)}", 0
-    elem = MetabelianElement.from_word(word)
-    if args.json:
-        return _dumps(elem.as_json()), 0
-    return f"endpoint={_fmt_vec(elem.endpoint)} flow={_fmt_flow(elem.flow)}", 0
+    evaluate, human, as_json = REGISTRY[args.group]
+    value = evaluate(args.word, args)
+    return (_dumps(as_json(value)) if args.json else human(value)), 0
 
 
 def _cmd_eq(args) -> tuple[str, int]:
-    if args.group == "satellite":
-        equal = satellite.from_word(args.word1, args.k) == satellite.from_word(args.word2, args.k)
-    else:
-        w1 = parse_word(args.word1, args.d)
-        w2 = parse_word(args.word2, args.d)
-        if args.group == "free":
-            equal = w1 == w2
-        elif args.group == "abelian":
-            equal = evaluate_path(w1).endpoint == evaluate_path(w2).endpoint
-        elif args.group == "heisenberg":
-            equal = HeisenbergElement.from_word(w1) == HeisenbergElement.from_word(w2)
-        else:
-            equal = word_problem(w1, w2)
+    evaluate = REGISTRY[args.group][0]
+    equal = evaluate(args.word1, args) == evaluate(args.word2, args)
     verdict = "equal" if equal else "unequal"
     return (_dumps({"verdict": verdict}) if args.json else verdict), (0 if equal else 1)
-
-
-def _cmd_nf(args) -> tuple[str, int]:
-    if args.group != "metabelian":
-        raise ValueError("nf supports only --group metabelian")
-    elem = MetabelianElement.from_word(parse_word(args.word, args.d))
-    if args.json:
-        return _dumps(elem.as_json()), 0
-    return f"endpoint={_fmt_vec(elem.endpoint)} flow={_fmt_flow(elem.flow)}", 0
 
 
 def _cmd_decompose(args) -> tuple[str, int]:
@@ -132,14 +122,33 @@ def _cmd_cocycle(args) -> tuple[str, int]:
     return (_dumps(flow.as_json()) if args.json else _fmt_flow(flow)), 0
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(c) is int for c in value)
+
+
 def _load_perturbation(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    shifts = {}
-    for item in data:
-        vertex = tuple(int(c) for c in item["vertex"])
-        shifts[vertex] = plaquette_sum_from_json(item["plaquettes"], d=2).boundary_flow()
-    return shifts
+    if not isinstance(data, list) or not all(
+        isinstance(item, dict)
+        and _int_list(item.get("vertex"))
+        and isinstance(item.get("plaquettes"), list)
+        and all(
+            isinstance(p, dict)
+            and _int_list(p.get("base"))
+            and _int_list([p.get("i"), p.get("j"), p.get("mult")])
+            for p in item["plaquettes"]
+        )
+        for item in data
+    ):
+        raise ValueError(
+            f"bad perturbation file {path!r}: expected "
+            '[{"vertex": [m, n], "plaquettes": [{"base": [a, b], "i": 1, "j": 2, "mult": c}, ...]}, ...]'
+        )
+    return {
+        tuple(item["vertex"]): plaquette_sum_from_json(item["plaquettes"], d=2).boundary_flow()
+        for item in data
+    }
 
 
 def _cmd_beta(args) -> tuple[str, int]:
@@ -193,17 +202,17 @@ def _cmd_batch(args) -> tuple[str, int]:
         if not line.strip():
             outputs.append("")
             continue
+        try:
+            tokens = shlex.split(line)
+        except ValueError as exc:
+            outputs.append(f"error: {exc}")
+            continue
         if args.eq:
-            pair = shlex.split(line)
-            if len(pair) != 2:
+            if len(tokens) != 2:
                 outputs.append("error: expected two words per line")
                 continue
-            tokens = ["eq", "--group", args.group, "--d", str(args.d), "--k", str(args.k)]
-            if args.json:
-                tokens.append("--json")
-            tokens.extend(pair)
-        else:
-            tokens = shlex.split(line)
+            flags = ["--group", args.group, "--d", str(args.d), "--k", str(args.k)]
+            tokens = ["eq", *flags, *(["--json"] if args.json else []), *tokens]
         output, error, _code = _run_line(tokens)
         outputs.append(f"error: {error}" if error is not None else output)
     return "\n".join(outputs), 0
@@ -212,9 +221,9 @@ def _cmd_batch(args) -> tuple[str, int]:
 def _add_common(sub, *, d=True, k=False, group=None) -> None:
     if group is not None:
         if group == "required":
-            sub.add_argument("--group", choices=GROUPS, required=True)
+            sub.add_argument("--group", choices=REGISTRY, required=True)
         else:
-            sub.add_argument("--group", choices=GROUPS, default=group)
+            sub.add_argument("--group", choices=REGISTRY, default=group)
     if d:
         sub.add_argument("--d", type=int, default=2, help="generator rank (default 2)")
     if k:
@@ -231,10 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    p = verbs.add_parser("reduce", help="freely reduce a word")
+    p = verbs.add_parser("reduce", help="freely reduce a word (eval --group free)")
     _add_common(p)
     p.add_argument("word")
-    p.set_defaults(handler=_cmd_reduce)
+    p.set_defaults(handler=_cmd_eval, group="free")
 
     p = verbs.add_parser("eval", help="evaluate a word in a chosen quotient")
     _add_common(p, k=True, group="required")
@@ -247,10 +256,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word2")
     p.set_defaults(handler=_cmd_eq)
 
-    p = verbs.add_parser("nf", help="metabelian normal form of a word")
-    _add_common(p, group="metabelian")
+    p = verbs.add_parser("nf", help="metabelian normal form of a word (eval --group metabelian)")
+    _add_common(p)
+    p.add_argument("--group", choices=["metabelian"], default="metabelian")
     p.add_argument("word")
-    p.set_defaults(handler=_cmd_nf)
+    p.set_defaults(handler=_cmd_eval)
 
     p = verbs.add_parser("decompose", help="plaquette decomposition of a loop word")
     _add_common(p)
@@ -287,10 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = verbs.add_parser("batch", help="run newline-separated commands (or word pairs with --eq)")
     p.add_argument("file")
     p.add_argument("--eq", action="store_true", help="treat each line as a word pair for eq")
-    p.add_argument("--group", choices=GROUPS, default="metabelian")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--json", action="store_true")
+    _add_common(p, k=True, group="metabelian")
     p.set_defaults(handler=_cmd_batch)
 
     return parser

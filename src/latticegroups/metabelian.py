@@ -17,15 +17,17 @@ from .lattice import (
     EdgeFlow,
     Vector,
     VertexChain,
+    _accumulate,
     basis_vector,
     evaluate_path,
     vec_add,
     vec_neg,
 )
-from .words import Letter, RankMismatchError, Word, commutator
+from .words import GroupElement, Letter, RankMismatchError, Word, commutator
+from .words import commutator as element_commutator
 
 
-class MetabelianElement:
+class MetabelianElement(GroupElement):
     """Group element as (abelianized endpoint, net edge flow of any representing path)."""
 
     __slots__ = ("endpoint", "flow")
@@ -74,9 +76,6 @@ class MetabelianElement:
         back = vec_neg(self.endpoint)
         return MetabelianElement(back, -self.flow.translate(back))
 
-    def conjugated_by(self, g: "MetabelianElement") -> "MetabelianElement":
-        return g * self * g.inverse()
-
     def is_identity(self) -> bool:
         return not self.flow and all(coord == 0 for coord in self.endpoint)
 
@@ -92,10 +91,6 @@ class MetabelianElement:
 
     def as_json(self) -> dict:
         return {"endpoint": list(self.endpoint), "flow": self.flow.as_json()}
-
-
-def element_commutator(a: MetabelianElement, b: MetabelianElement) -> MetabelianElement:
-    return a * b * a.inverse() * b.inverse()
 
 
 def plaquette_element(p: Plaquette) -> MetabelianElement:
@@ -141,15 +136,6 @@ def _poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return out
 
 
-def _poly_add_into(target: Polynomial, p: Polynomial) -> None:
-    for key, coeff in p.items():
-        total = target.get(key, 0) + coeff
-        if total:
-            target[key] = total
-        elif key in target:
-            del target[key]
-
-
 @dataclass(frozen=True)
 class FoxImage:
     """Matrix-embedding image: a monomial exponent plus one Laurent coefficient
@@ -192,7 +178,8 @@ def fox_image(word: Word) -> FoxImage:
             down = vec_neg(step)
             letter_diag = {down: 1}
             letter_deriv = {down: -1}
-        _poly_add_into(derivatives[axis - 1], _poly_mul(diagonal, letter_deriv))
+        for key, coeff in _poly_mul(diagonal, letter_deriv).items():
+            _accumulate(derivatives[axis - 1], key, coeff)
         diagonal = _poly_mul(diagonal, letter_diag)
     ((monomial, unit),) = diagonal.items()
     assert unit == 1

@@ -9,10 +9,10 @@ coordinate-plane projections of the path.
 from __future__ import annotations
 
 from .lattice import Vector, _accumulate, vec_add
-from .words import RankMismatchError, Word
+from .words import GroupElement, RankMismatchError, Word
 
 
-class HeisenbergElement:
+class HeisenbergElement(GroupElement):
     """Element as (endpoint, strictly upper-triangular integer area matrix)."""
 
     __slots__ = ("endpoint", "_areas")

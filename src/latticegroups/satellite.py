@@ -13,7 +13,7 @@ from typing import Iterable
 from .cocycles import canonical_cocycle
 from .homology import NotACycleError, Plaquette, algebraic_area, decompose_cycle_2d, plaquette_boundary
 from .lattice import EdgeFlow, Vector, vec_add, vec_neg
-from .words import Letter, parse_letters
+from .words import GroupElement, Letter, commutator as element_commutator, parse_letters
 
 GENERATOR_NAMES = ("x", "y", "z")
 
@@ -23,7 +23,7 @@ def _in_level_multiples(n: int, k: int) -> bool:
     return n == 0 if k == 0 else n % abs(k) == 0
 
 
-class SatelliteElement:
+class SatelliteElement(GroupElement):
     """Element of the level-k extension: (level, Z^2 vector, planar cycle)."""
 
     __slots__ = ("k", "vec", "cycle")
@@ -58,16 +58,6 @@ class SatelliteElement:
         back = vec_neg(self.vec)
         twist = canonical_cocycle(self.vec, back) * self.k
         return SatelliteElement(self.k, back, -((self.cycle + twist).translate(back)))
-
-    def __pow__(self, n: int) -> "SatelliteElement":
-        base = self if n >= 0 else self.inverse()
-        result = SatelliteElement.identity(self.k)
-        for _ in range(abs(n)):
-            result = result * base
-        return result
-
-    def conjugated_by(self, g: "SatelliteElement") -> "SatelliteElement":
-        return g * self * g.inverse()
 
     def is_identity(self) -> bool:
         return self.vec == (0, 0) and not self.cycle
@@ -112,10 +102,6 @@ def generator(name: str, k: int) -> SatelliteElement:
     if name == "z":
         return SatelliteElement(k, (0, 0), plaquette_boundary(Plaquette((0, 0), 1, 2)))
     raise ValueError(f"unknown generator {name!r}; expected one of {GENERATOR_NAMES}")
-
-
-def element_commutator(a: SatelliteElement, b: SatelliteElement) -> SatelliteElement:
-    return a * b * a.inverse() * b.inverse()
 
 
 def from_word(word: str | Iterable[Letter], k: int) -> SatelliteElement:

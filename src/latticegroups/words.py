@@ -39,7 +39,34 @@ def free_reduce(letters: Iterable[Letter | tuple[int, int]]) -> tuple[Letter, ..
     return tuple(stack)
 
 
-class Word:
+class GroupElement:
+    """Operations every group element derives from its ``*`` and ``inverse()``."""
+
+    __slots__ = ()
+
+    def __pow__(self, n: int):
+        """``g ** n`` by repeated squaring; ``g ** 0`` is ``g * g.inverse()``."""
+        base = self if n >= 0 else self.inverse()
+        result = self * self.inverse()
+        n = abs(n)
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def conjugated_by(self, g):
+        return g * self * g.inverse()
+
+
+def commutator(a, b):
+    """``[a, b] = a b a^-1 b^-1`` for any two group elements of one group."""
+    return a * b * a.inverse() * b.inverse()
+
+
+class Word(GroupElement):
     """A freely reduced word over generators ``x1 .. xd``.
 
     Instances are immutable values; the constructor reduces its input, so
@@ -82,13 +109,6 @@ class Word:
     def inverse(self) -> "Word":
         return ~self
 
-    def __pow__(self, n: int) -> "Word":
-        base = self if n >= 0 else ~self
-        result = Word.identity(self.d)
-        for _ in range(abs(n)):
-            result = result * base
-        return result
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Word)
@@ -124,10 +144,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r}, d={self.d})"
-
-
-def commutator(u: Word, v: Word) -> Word:
-    return u * v * ~u * ~v
 
 
 def _tokens(text: str) -> list[str]:

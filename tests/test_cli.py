@@ -1,10 +1,11 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from latticegroups import MetabelianElement, parse_word
-from latticegroups.cli import main
+from latticegroups.cli import REGISTRY, main
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -13,6 +14,8 @@ DATA = HERE / "data"
 PERTURB = str(DATA / "perturb.json")
 BATCH_COMMANDS = str(DATA / "batch_commands.txt")
 BATCH_PAIRS = str(DATA / "batch_pairs.txt")
+BATCH_UNCLOSED_QUOTE = str(DATA / "batch_unclosed_quote.txt")
+BAD_PERTURB = ["perturb_missing_plaquettes.json", "perturb_not_a_list.json"]
 
 # (golden file stem, argv, expected exit code)
 MATRIX = [
@@ -58,6 +61,63 @@ def test_golden_output(name, argv, expected_code, capsys, request):
         path.write_text(out, encoding="utf-8")
     assert code == expected_code
     assert out == path.read_text(encoding="utf-8")
+
+
+def _random_text(rng, names):
+    return " ".join(
+        f"{rng.choice(names)}^{rng.choice((1, -1, 2, -3))}" for _ in range(rng.randint(0, 12))
+    )
+
+
+# (alias argv, the eval argv it stands for)
+ALIASES = [
+    (["nf"], ["eval", "--group", "metabelian"]),
+    (["reduce"], ["eval", "--group", "free"]),
+]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("alias,target", ALIASES, ids=[a[0][0] for a in ALIASES])
+def test_alias_matches_eval(alias, target, json_flag, capsys):
+    rng = random.Random(f"{alias[0]}{json_flag}")
+    for _ in range(20):
+        d = rng.randint(1, 3)
+        tail = ["--d", str(d), *json_flag, _random_text(rng, [f"x{i}" for i in range(1, d + 1)])]
+        assert main(alias + tail) == 0
+        alias_out = capsys.readouterr().out
+        assert main(target + tail) == 0
+        assert capsys.readouterr().out == alias_out
+
+
+@pytest.mark.parametrize("group", list(REGISTRY))
+def test_eq_word_with_itself(group, capsys):
+    rng = random.Random(f"eq-{group}")
+    names = ("x", "y", "z") if group == "satellite" else ("x1", "x2", "x3")
+    for _ in range(10):
+        word = _random_text(rng, names)
+        assert main(["eq", "--group", group, "--d", "3", "--k", "2", word, word]) == 0
+        assert capsys.readouterr().out == "equal\n"
+
+
+@pytest.mark.parametrize("name", BAD_PERTURB)
+def test_beta_rejects_malformed_perturbation(name, capsys):
+    assert main(["beta", "--k", "2", "--perturb", str(DATA / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_batch_unclosed_quote_marks_only_its_line(capsys):
+    assert main(["batch", BATCH_UNCLOSED_QUOTE]) == 0
+    assert capsys.readouterr().out == "x1\nerror: No closing quotation\nx2\n"
+
+
+def test_batch_eq_unclosed_quote_marks_only_its_line(tmp_path, capsys):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text('"x1 x2" "x2 x1"\n"x1 x2 x1\nx2 x2\n', encoding="utf-8")
+    assert main(["batch", "--eq", "--group", "abelian", str(pairs)]) == 0
+    assert capsys.readouterr().out == "equal\nerror: No closing quotation\nequal\n"
 
 
 def test_output_is_deterministic(capsys):

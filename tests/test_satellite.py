@@ -196,3 +196,8 @@ class TestValidation:
             "vec": [0, 0],
             "cycle": plaquette_boundary(Plaquette((0, 0), 1, 2)).as_json(),
         }
+
+
+def test_power_by_squaring_reaches_large_exponents():
+    unit = plaquette_boundary(Plaquette((0, 0), 1, 2))
+    assert generator("z", 3) ** 10**6 == SatelliteElement(3, (0, 0), unit * 10**6)

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from latticegroups import (
+    HeisenbergElement,
     Letter,
+    MetabelianElement,
     RankMismatchError,
     Word,
     WordSyntaxError,
@@ -10,7 +14,11 @@ from latticegroups import (
     free_reduce,
     parse_word,
     parse_letters,
+    satellite,
 )
+from latticegroups.satellite import SatelliteElement
+
+from helpers import random_letters, random_word
 
 
 def letters_st(d, max_len=12):
@@ -141,3 +149,50 @@ def test_parse_letters_named_alphabet():
     assert letters == (Letter(1, 1), Letter(2, -1), Letter(2, -1), Letter(3, 1))
     with pytest.raises(WordSyntaxError):
         parse_letters("w", ("x", "y", "z"))
+
+
+# kind -> (seeded random element, identity of the element's group). Satellite
+# elements share one level so that any two of them multiply.
+ELEMENTS = {
+    "word": (lambda rng: random_word(rng, 3, 8), lambda g: Word.identity(g.d)),
+    "metabelian": (
+        lambda rng: MetabelianElement.from_word(random_word(rng, 3, 8)),
+        lambda g: MetabelianElement.identity(g.d),
+    ),
+    "heisenberg": (
+        lambda rng: HeisenbergElement.from_word(random_word(rng, 3, 8)),
+        lambda g: HeisenbergElement.identity(g.d),
+    ),
+    "satellite": (
+        lambda rng: satellite.from_word(random_letters(rng, 3, rng.randint(0, 8)), 3),
+        lambda g: SatelliteElement.identity(g.k),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(ELEMENTS))
+class TestGroupElementProtocol:
+    def test_power_is_repeated_product(self, kind):
+        make, identity = ELEMENTS[kind]
+        rng = random.Random(f"pow-{kind}")
+        for _ in range(15):
+            g = make(rng)
+            for n in range(-6, 7):
+                expected = identity(g)
+                for _ in range(abs(n)):
+                    expected = expected * (g if n > 0 else g.inverse())
+                assert g**n == expected
+
+    def test_conjugated_by(self, kind):
+        make, _ = ELEMENTS[kind]
+        rng = random.Random(f"conj-{kind}")
+        for _ in range(15):
+            g, h = make(rng), make(rng)
+            assert g.conjugated_by(h) == h * g * h.inverse()
+
+    def test_commutator(self, kind):
+        make, _ = ELEMENTS[kind]
+        rng = random.Random(f"comm-{kind}")
+        for _ in range(15):
+            a, b = make(rng), make(rng)
+            assert commutator(a, b) == a * b * a.inverse() * b.inverse()
