@@ -9,6 +9,8 @@ calculus and the level-k extension family.
 """
 
 from .words import (
+    MAX_LETTERS,
+    InputTooLargeError,
     Letter,
     RankMismatchError,
     Word,
@@ -69,6 +71,8 @@ from . import satellite
 __version__ = "0.1.0"
 
 __all__ = [
+    "MAX_LETTERS",
+    "InputTooLargeError",
     "Letter",
     "RankMismatchError",
     "Word",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shlex
 import sys
 
@@ -18,7 +19,7 @@ from .homology import NotACycleError, algebraic_area, decompose_cycle, plaquette
 from .lattice import evaluate_path
 from .metabelian import MetabelianElement, fox_image
 from .nilpotent import HeisenbergElement
-from .words import RankMismatchError, WordSyntaxError, parse_word
+from .words import MAX_LETTERS, InputTooLargeError, RankMismatchError, WordSyntaxError, parse_word
 from . import satellite
 
 SUBGROUPS = ("N", "M", "commutant")
@@ -32,9 +33,13 @@ def _dumps(obj) -> str:
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        vec = tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad vector {text!r}; expected comma-separated integers") from None
+    # The L1 norm is the length of the vector's monomial path.
+    if sum(map(abs, vec)) > MAX_LETTERS:
+        raise InputTooLargeError(f"vector {text!r} is longer than {MAX_LETTERS} unit steps")
+    return vec
 
 
 def _fmt_vec(vec) -> str:
@@ -273,6 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_area)
 
     p = verbs.add_parser("cocycle", help="canonical cocycle value at a vector pair")
+    # Read vectors such as -1,3 as positionals, not as unknown options.
+    p._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
     _add_common(p, d=False)
     p.add_argument("g1", help="comma-separated integers, e.g. 1,0")
     p.add_argument("g2")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .homology import algebraic_area
-from .lattice import EdgeFlow, Vector, evaluate_path, vec_add, vec_neg
+from .lattice import Edge, EdgeFlow, Vector, vec_add, vec_neg
 from .words import Letter, RankMismatchError, Word
 
 
@@ -26,7 +26,24 @@ def monomial_word(vec: Vector) -> Word:
 
 
 def monomial_flow(vec: Vector) -> EdgeFlow:
-    return evaluate_path(monomial_word(vec)).flow
+    """Flow of :func:`monomial_word`, emitted as its axis-parallel runs.
+
+    The run along axis i starts at (v1, ..., v_{i-1}, 0, ..., 0) and covers
+    the edges with i-th base coordinate in [min(0, vi), max(0, vi)), each
+    with multiplicity sign(vi). The path never revisits an edge, so every
+    multiplicity is +-1.
+    """
+    d = len(vec)
+    if d < 1:
+        raise ValueError(f"rank must be positive, got {d}")
+    entries: dict[Edge, int] = {}
+    for index, coord in enumerate(vec):
+        prefix = tuple(vec[:index])
+        suffix = (0,) * (d - index - 1)
+        sign = 1 if coord > 0 else -1
+        for t in range(min(coord, 0), max(coord, 0)):
+            entries[Edge(prefix + (t,) + suffix, index + 1)] = sign
+    return EdgeFlow._of(d, entries)
 
 
 def canonical_cocycle(g1: Vector, g2: Vector) -> EdgeFlow:

@@ -43,17 +43,18 @@ def plaquette_boundary(p: Plaquette) -> EdgeFlow:
     commutator loop x_i x_j x_i^-1 x_j^-1 based at ``p.base``; every other
     sign convention in the package hangs off this choice.
     """
-    d = p.d
-    ei = basis_vector(d, p.i)
-    ej = basis_vector(d, p.j)
-    return EdgeFlow(
-        d,
-        [
-            (Edge(p.base, p.i), 1),
-            (Edge(vec_add(p.base, ei), p.j), 1),
-            (Edge(vec_add(p.base, ej), p.i), -1),
-            (Edge(p.base, p.j), -1),
-        ],
+    return EdgeFlow(p.d, _boundary_edges(p))
+
+
+def _boundary_edges(p: Plaquette) -> tuple[tuple[Edge, int], ...]:
+    """The four signed edges of :func:`plaquette_boundary`."""
+    ei = basis_vector(p.d, p.i)
+    ej = basis_vector(p.d, p.j)
+    return (
+        (Edge(p.base, p.i), 1),
+        (Edge(vec_add(p.base, ei), p.j), 1),
+        (Edge(vec_add(p.base, ej), p.i), -1),
+        (Edge(p.base, p.j), -1),
     )
 
 
@@ -82,11 +83,12 @@ class PlaquetteSum:
         return sum(self._entries.values())
 
     def boundary_flow(self) -> EdgeFlow:
-        """The edge flow spanned by the combination."""
-        flow = EdgeFlow(self.d)
+        """The edge flow spanned by the combination, in one pass over its plaquettes."""
+        entries: dict[Edge, int] = {}
         for plaquette, coeff in self._entries.items():
-            flow = flow + coeff * plaquette_boundary(plaquette)
-        return flow
+            for edge, sign in _boundary_edges(plaquette):
+                _accumulate(entries, edge, sign * coeff)
+        return EdgeFlow._of(self.d, entries)
 
     def __add__(self, other: "PlaquetteSum") -> "PlaquetteSum":
         if not isinstance(other, PlaquetteSum):
@@ -134,6 +136,35 @@ class PlaquetteSum:
 
 
 def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:
+    """A plaquette combination spanning a cycle.
+
+    For d = 2 the decomposition is unique and has a closed form: the
+    coefficient of the plaquette at (a, b) is the column prefix sum
+    ``c(a, b) = sum over b' <= b of f((a, b'), 1)`` of the horizontal edges.
+    Each column's sum is the net flux across a vertical line, which is zero
+    for a cycle, so the prefix sums vanish below and above the support. For
+    d >= 3 a greedy peel (:func:`_peel`) gives one valid decomposition.
+    """
+    if not flow.is_cycle():
+        raise NotACycleError("flow has nonzero boundary")
+    if flow.d != 2:
+        return _peel(flow)
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for ((a, b), axis), coeff in flow.entries():
+        if axis == 1:
+            columns.setdefault(a, []).append((b, coeff))
+    coeffs: dict[Plaquette, int] = {}
+    for a, runs in columns.items():
+        running = 0
+        for (b, coeff), (b_next, _) in zip(runs, runs[1:]):
+            running += coeff
+            if running:
+                for row in range(b, b_next):
+                    coeffs[Plaquette((a, row), 1, 2)] = running
+    return PlaquetteSum(2, coeffs)
+
+
+def _peel(flow: EdgeFlow) -> PlaquetteSum:
     """Peel a cycle into a plaquette combination spanning it.
 
     Repeatedly cancel the lexicographically least supported edge against the
@@ -143,9 +174,8 @@ def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:
     of the support, and the least edge strictly increases, so the sweep
     terminates. For d = 2 the choice of plaquette is forced and the result
     is the unique decomposition; for d >= 3 it is one valid decomposition.
+    The caller checks that ``flow`` is a cycle.
     """
-    if not flow.is_cycle():
-        raise NotACycleError("flow has nonzero boundary")
     d = flow.d
     work = dict(flow.entries())
     coeffs: dict[Plaquette, int] = {}
@@ -165,14 +195,26 @@ def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:
 
 def decompose_cycle_2d(flow: EdgeFlow) -> PlaquetteSum:
     """Unique plaquette coefficients of a planar cycle."""
-    if flow.d != 2:
-        raise ValueError(f"planar decomposition needs rank 2, got {flow.d}")
+    _check_planar(flow)
     return decompose_cycle(flow)
 
 
 def algebraic_area(flow: EdgeFlow) -> int:
-    """Sum of the plaquette coefficients of a planar cycle."""
-    return decompose_cycle_2d(flow).total()
+    """Sum of the plaquette coefficients of a planar cycle.
+
+    Computed without decomposing, as the line integral
+    ``-sum of b * f((a, b), 1)`` over the horizontal edges: summing the
+    column prefix sums of :func:`decompose_cycle` over b gives exactly this.
+    """
+    _check_planar(flow)
+    if not flow.is_cycle():
+        raise NotACycleError("flow has nonzero boundary")
+    return -sum(base[1] * coeff for (base, axis), coeff in flow.entries() if axis == 1)
+
+
+def _check_planar(flow: EdgeFlow) -> None:
+    if flow.d != 2:
+        raise ValueError(f"planar decomposition needs rank 2, got {flow.d}")
 
 
 def cube_relation(base: Vector, i: int, j: int, k: int) -> PlaquetteSum:

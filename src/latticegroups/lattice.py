@@ -7,6 +7,7 @@ traversals against the orientation contribute negative multiplicity.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
 from .words import Letter, RankMismatchError, Word, WordSyntaxError
@@ -116,6 +117,16 @@ class EdgeFlow:
         self.d = d
         self._entries = entries
 
+    @classmethod
+    def _of(cls, d: int, entries: dict[Edge, int]) -> "EdgeFlow":
+        """Trusted constructor for results that are valid by construction:
+        ``entries`` maps rank-``d`` Edge keys with axes in 1..d to nonzero
+        ints, and is adopted without a copy or a check."""
+        flow = object.__new__(cls)
+        flow.d = d
+        flow._entries = entries
+        return flow
+
     def value(self, edge: Edge | tuple[Vector, int]) -> int:
         base, axis = edge
         return self._entries.get(Edge(tuple(base), axis), 0)
@@ -130,15 +141,19 @@ class EdgeFlow:
     def translate(self, v: Vector) -> "EdgeFlow":
         if len(v) != self.d:
             raise RankMismatchError(f"vector {v} does not have rank {self.d}")
-        return EdgeFlow(
+        return EdgeFlow._of(
             self.d,
-            ((Edge(vec_add(edge.base, v), edge.axis), coeff) for edge, coeff in self._entries.items()),
+            {
+                Edge(tuple(map(add, base, v)), axis): coeff
+                for (base, axis), coeff in self._entries.items()
+            },
         )
 
     def boundary(self) -> VertexChain:
+        units = {axis: basis_vector(self.d, axis) for axis in range(1, self.d + 1)}
         chain: dict[Vector, int] = {}
         for (base, axis), coeff in self._entries.items():
-            _accumulate(chain, vec_add(base, basis_vector(self.d, axis)), coeff)
+            _accumulate(chain, tuple(map(add, base, units[axis])), coeff)
             _accumulate(chain, base, -coeff)
         return VertexChain(self.d, chain)
 
@@ -156,20 +171,28 @@ class EdgeFlow:
         entries = dict(self._entries)
         for edge, coeff in other._entries.items():
             _accumulate(entries, edge, coeff)
-        return EdgeFlow(self.d, entries)
+        return EdgeFlow._of(self.d, entries)
 
     def __sub__(self, other: "EdgeFlow") -> "EdgeFlow":
         if not isinstance(other, EdgeFlow):
             return NotImplemented
-        return self + (-other)
+        self._check_rank(other)
+        entries = dict(self._entries)
+        for edge, coeff in other._entries.items():
+            _accumulate(entries, edge, -coeff)
+        return EdgeFlow._of(self.d, entries)
 
     def __neg__(self) -> "EdgeFlow":
-        return EdgeFlow(self.d, ((edge, -coeff) for edge, coeff in self._entries.items()))
+        return EdgeFlow._of(self.d, {edge: -coeff for edge, coeff in self._entries.items()})
 
     def __mul__(self, scalar: int) -> "EdgeFlow":
         if not isinstance(scalar, int):
             return NotImplemented
-        return EdgeFlow(self.d, ((edge, scalar * coeff) for edge, coeff in self._entries.items()))
+        if not scalar:  # zero entries are never stored
+            return EdgeFlow._of(self.d, {})
+        return EdgeFlow._of(
+            self.d, {edge: scalar * coeff for edge, coeff in self._entries.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -206,12 +229,6 @@ class PathEvaluation(NamedTuple):
         return {"endpoint": list(self.endpoint), "flow": self.flow.as_json()}
 
 
-def _step(position: Vector, axis: int, sign: int) -> Vector:
-    return tuple(
-        coord + (sign if index == axis - 1 else 0) for index, coord in enumerate(position)
-    )
-
-
 def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> PathEvaluation:
     """Trace unit steps from the origin, one per letter.
 
@@ -219,18 +236,18 @@ def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> Pat
     letter subtracts 1 from the positively oriented key of the edge walked
     backwards. The result does not depend on free reduction of the input.
     """
-    position: Vector = (0,) * d
+    position = [0] * d
     entries: dict[Edge, int] = {}
     for axis, sign in letters:
         if not 1 <= axis <= d:
             raise WordSyntaxError(f"generator index {axis} out of range 1..{d}")
         if sign > 0:
-            _accumulate(entries, Edge(position, axis), 1)
-            position = _step(position, axis, 1)
+            _accumulate(entries, Edge(tuple(position), axis), 1)
+            position[axis - 1] += 1
         else:
-            position = _step(position, axis, -1)
-            _accumulate(entries, Edge(position, axis), -1)
-    return PathEvaluation(position, EdgeFlow(d, entries))
+            position[axis - 1] -= 1
+            _accumulate(entries, Edge(tuple(position), axis), -1)
+    return PathEvaluation(tuple(position), EdgeFlow._of(d, entries))
 
 
 def evaluate_path(word: Word) -> PathEvaluation:

@@ -44,6 +44,15 @@ class MetabelianElement(GroupElement):
         self.endpoint = endpoint
         self.flow = flow
 
+    @classmethod
+    def _of(cls, endpoint: Vector, flow: EdgeFlow) -> "MetabelianElement":
+        """Trusted constructor for results that are valid by construction:
+        ``endpoint`` is a tuple and ``flow`` a flow from the origin to it."""
+        elem = object.__new__(cls)
+        elem.endpoint = endpoint
+        elem.flow = flow
+        return elem
+
     @property
     def d(self) -> int:
         return self.flow.d
@@ -55,26 +64,26 @@ class MetabelianElement(GroupElement):
     @classmethod
     def from_word(cls, word: Word) -> "MetabelianElement":
         endpoint, flow = evaluate_path(word)
-        return cls(endpoint, flow)
+        return cls._of(endpoint, flow)
 
     @classmethod
     def section(cls, vec: Vector) -> "MetabelianElement":
         """Canonical lift of an abelian vector along its monomial word."""
-        return cls(tuple(vec), monomial_flow(vec))
+        return cls._of(tuple(vec), monomial_flow(vec))
 
     def __mul__(self, other: "MetabelianElement") -> "MetabelianElement":
         if not isinstance(other, MetabelianElement):
             return NotImplemented
         if self.d != other.d:
             raise RankMismatchError(f"element ranks differ: {self.d} vs {other.d}")
-        return MetabelianElement(
+        return MetabelianElement._of(
             vec_add(self.endpoint, other.endpoint),
             self.flow + other.flow.translate(self.endpoint),
         )
 
     def inverse(self) -> "MetabelianElement":
         back = vec_neg(self.endpoint)
-        return MetabelianElement(back, -self.flow.translate(back))
+        return MetabelianElement._of(back, -self.flow.translate(back))
 
     def is_identity(self) -> bool:
         return not self.flow and all(coord == 0 for coord in self.endpoint)

@@ -39,6 +39,16 @@ class SatelliteElement(GroupElement):
         self.cycle = cycle
 
     @classmethod
+    def _of(cls, k: int, vec: Vector, cycle: EdgeFlow) -> "SatelliteElement":
+        """Trusted constructor for results that are valid by construction:
+        ``vec`` is a pair and ``cycle`` a rank-2 cycle."""
+        elem = object.__new__(cls)
+        elem.k = k
+        elem.vec = vec
+        elem.cycle = cycle
+        return elem
+
+    @classmethod
     def identity(cls, k: int) -> "SatelliteElement":
         return cls(k, (0, 0), EdgeFlow(2))
 
@@ -48,7 +58,7 @@ class SatelliteElement(GroupElement):
         if self.k != other.k:
             raise ValueError(f"level mismatch: {self.k} vs {other.k}")
         twist = canonical_cocycle(self.vec, other.vec) * self.k
-        return SatelliteElement(
+        return SatelliteElement._of(
             self.k,
             vec_add(self.vec, other.vec),
             self.cycle + other.cycle.translate(self.vec) + twist,
@@ -57,7 +67,7 @@ class SatelliteElement(GroupElement):
     def inverse(self) -> "SatelliteElement":
         back = vec_neg(self.vec)
         twist = canonical_cocycle(self.vec, back) * self.k
-        return SatelliteElement(self.k, back, -((self.cycle + twist).translate(back)))
+        return SatelliteElement._of(self.k, back, -((self.cycle + twist).translate(back)))
 
     def is_identity(self) -> bool:
         return self.vec == (0, 0) and not self.cycle

@@ -14,6 +14,15 @@ class RankMismatchError(ValueError):
     """Operands that live over different generator ranks."""
 
 
+# Longest word, after exponent expansion, that the parsers accept. Exponents
+# are expanded eagerly, so this bounds the time and memory of one input.
+MAX_LETTERS = 10**6
+
+
+class InputTooLargeError(ValueError):
+    """Input whose expansion would exceed MAX_LETTERS letters or unit steps."""
+
+
 class Letter(NamedTuple):
     """One signed generator: ``axis`` in 1..d, ``sign`` +1 or -1."""
 
@@ -163,6 +172,11 @@ def _split_exponent(token: str) -> tuple[str, int]:
     return name, exponent
 
 
+def _check_length(expanded: int, exponent: int) -> None:
+    if expanded + abs(exponent) > MAX_LETTERS:
+        raise InputTooLargeError(f"word expands to more than {MAX_LETTERS} letters")
+
+
 _GENERATOR_RE = re.compile(r"x([1-9]\d*)")
 
 
@@ -170,11 +184,13 @@ def parse_word(text: str, d: int) -> Word:
     """Parse indexed-generator word text into its reduced Word.
 
     Grammar: tokens separated by whitespace or ``.``, each ``x<idx>`` with an
-    optional ``^<nonzero integer>`` exponent that is expanded eagerly.
+    optional ``^<nonzero integer>`` exponent that is expanded eagerly. A word
+    that would expand to more than MAX_LETTERS letters is refused.
     """
     letters: list[Letter] = []
     for token in _tokens(text):
         name, exponent = _split_exponent(token)
+        _check_length(len(letters), exponent)
         match = _GENERATOR_RE.fullmatch(name)
         if match is None:
             raise WordSyntaxError(f"bad token {token!r}")
@@ -196,6 +212,7 @@ def parse_letters(text: str, alphabet: Sequence[str]) -> tuple[Letter, ...]:
     letters: list[Letter] = []
     for token in _tokens(text):
         name, exponent = _split_exponent(token)
+        _check_length(len(letters), exponent)
         axis = positions.get(name)
         if axis is None:
             raise WordSyntaxError(f"unknown generator {name!r}; expected one of {tuple(alphabet)}")

@@ -40,6 +40,7 @@ MATRIX = [
     ("area_negative", ["area", "--d", "2", "--json", "x2 x1 x2^-1 x1^-1"], 0),
     ("cocycle_reversed", ["cocycle", "--json", "0,1", "1,0"], 0),
     ("cocycle_straight_human", ["cocycle", "1,0", "0,1"], 0),
+    ("cocycle_negative", ["cocycle", "-1,3", "2,0", "--json"], 0),
     ("beta_canonical", ["beta", "--k", "1", "--json"], 0),
     ("beta_scaled", ["beta", "--k", "-3", "--json"], 0),
     ("beta_perturbed", ["beta", "--k", "2", "--perturb", PERTURB, "--json"], 0),
@@ -118,6 +119,31 @@ def test_batch_eq_unclosed_quote_marks_only_its_line(tmp_path, capsys):
     pairs.write_text('"x1 x2" "x2 x1"\n"x1 x2 x1\nx2 x2\n', encoding="utf-8")
     assert main(["batch", "--eq", "--group", "abelian", str(pairs)]) == 0
     assert capsys.readouterr().out == "equal\nerror: No closing quotation\nequal\n"
+
+
+def test_batch_line_led_by_negative_vector(tmp_path, capsys):
+    commands = tmp_path / "commands.txt"
+    commands.write_text("cocycle -1,3 2,0 --json\ncocycle -x 1,0\n", encoding="utf-8")
+    assert main(["batch", str(commands)]) == 0
+    golden = (GOLDEN / "cocycle_negative.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden + "error: bad arguments\n"
+
+
+# Inputs whose eager expansion used to run without end.
+HUGE = [
+    ["eval", "--group", "abelian", "--d", "1", "x1^99999999999"],
+    ["eval", "--group", "satellite", "--k", "1", "z^99999999999"],
+    ["cocycle", "99999999999,0", "0,1"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE, ids=["abelian", "satellite", "cocycle"])
+def test_huge_input_refused(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_output_is_deterministic(capsys):

@@ -57,6 +57,14 @@ class TestMonomialSection:
         for vec in [(2, -1), (0, 0), (-3, 2), (1, 2, -2)]:
             assert evaluate_path(monomial_word(vec)).endpoint == vec
 
+    def test_closed_form_flow_matches_walk(self):
+        from latticegroups import evaluate_path
+
+        for vec in itertools.product(range(-5, 6), repeat=3):
+            assert monomial_flow(vec) == evaluate_path(monomial_word(vec)).flow
+        with pytest.raises(ValueError):
+            monomial_flow(())
+
 
 class TestCanonicalCocycle:
     def test_straight_concatenation_vanishes(self):

@@ -5,6 +5,7 @@ import pytest
 from latticegroups import (
     Edge,
     EdgeFlow,
+    HeisenbergElement,
     NotACycleError,
     Plaquette,
     PlaquetteSum,
@@ -17,12 +18,23 @@ from latticegroups import (
     plaquette_sum_from_json,
     project_flow,
 )
-from helpers import flow_of, random_loop_flow, random_word, shuffled_copy, w
+from latticegroups.homology import _peel
+from helpers import flow_of, random_loop_flow, random_loop_word, random_word, shuffled_copy, w
 
 
 def area_by_line_integral(flow):
     """Independent area oracle: the discrete integral of x1 against dx2."""
     return sum(coeff * base[0] for (base, axis), coeff in flow.entries() if axis == 2)
+
+
+def planar_loops():
+    """Seeded random d = 2 loops of up to 200 letters, and [x1^a, x2^b] for
+    a, b up to 70 in size."""
+    rng = random.Random(59)
+    loops = [random_loop_word(rng, 2, 100) for _ in range(60)]
+    sizes = (1, -4, 29, 70)
+    loops += [w(f"x1^{a} x2^{b} x1^{-a} x2^{-b}") for a in sizes for b in (1, 13, -50, 70)]
+    return loops
 
 
 class TestPlaquette:
@@ -86,6 +98,13 @@ class TestDecompose2d:
             flow = random_loop_flow(rng, 2, 10)
             assert decompose_cycle_2d(shuffled_copy(flow, rng)) == decompose_cycle_2d(flow)
 
+    def test_prefix_sums_match_peel(self):
+        for word in planar_loops():
+            flow = evaluate_path(word).flow
+            ps = decompose_cycle_2d(flow)
+            assert ps == _peel(flow)
+            assert ps.boundary_flow() == flow
+
     def test_linearity(self):
         rng = random.Random(29)
         for _ in range(40):
@@ -119,6 +138,18 @@ class TestArea:
         for _ in range(120):
             flow = random_loop_flow(rng, 2, 10)
             assert algebraic_area(flow) == area_by_line_integral(flow)
+
+    def test_closed_form_matches_every_oracle(self):
+        for word in planar_loops():
+            flow = evaluate_path(word).flow
+            area = algebraic_area(flow)
+            assert area == area_by_line_integral(flow)
+            assert area == decompose_cycle_2d(flow).total()
+            assert area == HeisenbergElement.from_word(word).area(1, 2)
+
+    def test_rank_guard(self):
+        with pytest.raises(ValueError):
+            algebraic_area(EdgeFlow(3))
 
 
 class TestCubeRelation:

@@ -104,9 +104,24 @@ class TestFlowAlgebra:
         assert COMMUTATOR_FLOW + EdgeFlow(2) == COMMUTATOR_FLOW
         assert 2 * COMMUTATOR_FLOW == COMMUTATOR_FLOW + COMMUTATOR_FLOW
 
+    def test_trusted_results_pass_public_checks(self):
+        # Rebuilding through the public constructor changes nothing, so no
+        # result stores a zero entry or a key that is not a rank-d Edge.
+        rng = random.Random(13)
+        for _ in range(60):
+            d = rng.choice((1, 2, 3))
+            f = evaluate_path(random_word(rng, d, 12)).flow
+            g = evaluate_path(random_word(rng, d, 12)).flow
+            shift = tuple(rng.randint(-3, 3) for _ in range(d))
+            for h in (f + g, f - g, f - f, -f, 0 * f, rng.randint(-3, 3) * f, f.translate(shift)):
+                assert EdgeFlow(d, h.entries()) == h
+                assert all(type(key) is Edge for key, _ in h.entries())
+
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             EdgeFlow(2) + EdgeFlow(3)
+        with pytest.raises(RankMismatchError):
+            EdgeFlow(2) - EdgeFlow(3)
         with pytest.raises(RankMismatchError):
             EdgeFlow(2).translate((1, 2, 3))
 

@@ -100,6 +100,19 @@ class TestGroupLaw:
     def test_invalid_pair_rejected(self):
         with pytest.raises(ValueError):
             MetabelianElement((0, 0), EdgeFlow(2, {((0, 0), 1): 1}))
+        with pytest.raises(ValueError):
+            MetabelianElement((1, 0), evaluate_path(w("x1 x2")).flow)
+        with pytest.raises(ValueError):
+            MetabelianElement((0, 0, 0), evaluate_path(w("x1 x2 x1^-1 x2^-1")).flow)
+
+    def test_trusted_results_pass_public_checks(self):
+        rng = random.Random(109)
+        for _ in range(60):
+            d = rng.choice((2, 3))
+            a = MetabelianElement.from_word(random_word(rng, d, 12))
+            b = MetabelianElement.section(tuple(rng.randint(-4, 4) for _ in range(d)))
+            for p in (a, b, a * b, b * a, a.inverse(), (a * b).inverse()):
+                assert MetabelianElement(p.endpoint, p.flow) == p
 
     def test_abelianization_forgets_flow(self):
         rng = random.Random(79)

@@ -20,7 +20,7 @@ from latticegroups.satellite import (
     generator,
     z_torsion_order,
 )
-from helpers import random_loop_flow, random_word
+from helpers import random_letters, random_loop_flow, random_word
 
 
 def conjugated_z(k, m, n):
@@ -184,6 +184,17 @@ class TestValidation:
 
         with pytest.raises(NotACycleError):
             SatelliteElement(1, (0, 0), EdgeFlow(2, {((0, 0), 1): 1}))
+        with pytest.raises(NotACycleError):
+            SatelliteElement(3, (2, 1), monomial_flow((2, 1)))
+
+    def test_trusted_results_pass_public_checks(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            k = rng.randint(-3, 3)
+            a = from_word(random_letters(rng, 3, rng.randint(0, 12)), k)
+            b = from_word(random_letters(rng, 3, rng.randint(0, 12)), k)
+            for p in (a * b, b * a, a.inverse(), (a * b).inverse()):
+                assert SatelliteElement(p.k, p.vec, p.cycle) == p
 
     def test_rank_two_required(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from latticegroups import (
     HeisenbergElement,
+    InputTooLargeError,
     Letter,
     MetabelianElement,
     RankMismatchError,
@@ -16,6 +17,7 @@ from latticegroups import (
     parse_letters,
     satellite,
 )
+from latticegroups import words
 from latticegroups.satellite import SatelliteElement
 
 from helpers import random_letters, random_word
@@ -149,6 +151,23 @@ def test_parse_letters_named_alphabet():
     assert letters == (Letter(1, 1), Letter(2, -1), Letter(2, -1), Letter(3, 1))
     with pytest.raises(WordSyntaxError):
         parse_letters("w", ("x", "y", "z"))
+
+
+class TestLetterLimit:
+    def test_huge_exponent_refused_before_expansion(self):
+        with pytest.raises(InputTooLargeError):
+            parse_word("x1^99999999999", 1)
+        with pytest.raises(InputTooLargeError):
+            parse_letters("z^-99999999999", ("x", "y", "z"))
+
+    def test_running_total_counts(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_LETTERS", 5)
+        assert len(parse_word("x1^4 x2^-1", 2)) == 5
+        assert len(parse_letters("x^2 y^-2 x", ("x", "y"))) == 5
+        with pytest.raises(InputTooLargeError):
+            parse_word("x1^4 x2^-2", 2)
+        with pytest.raises(InputTooLargeError):
+            parse_letters("x^2 y^-2 x x", ("x", "y"))
 
 
 # kind -> (seeded random element, identity of the element's group). Satellite
