@@ -9,10 +9,12 @@ all other verbs exit 0 on success and 2 on error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .cocycles import PerturbedCocycle, ScaledCocycle, canonical_cocycle, cocycle_index
 from .homology import NotACycleError, algebraic_area, decompose_cycle, plaquette_sum_from_json
@@ -40,6 +42,18 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     if sum(map(abs, vec)) > MAX_LETTERS:
         raise InputTooLargeError(f"vector {text!r} is longer than {MAX_LETTERS} unit steps")
     return vec
+
+
+def _parse_folded(text: str, args):
+    """Parse a word for a verb that folds it in rank d. Each letter of the
+    fold copies a d-tuple, so rank times length is bounded like a word's
+    length."""
+    word = parse_word(text, args.d)
+    if args.d * max(1, len(word)) > MAX_LETTERS:
+        raise InputTooLargeError(
+            f"rank {args.d} times word length {len(word)} is more than {MAX_LETTERS}"
+        )
+    return word
 
 
 def _fmt_vec(vec) -> str:
@@ -73,17 +87,17 @@ REGISTRY = {
         lambda word: {"word": str(word)},
     ),
     "abelian": (
-        lambda text, args: evaluate_path(parse_word(text, args.d)).endpoint,
+        lambda text, args: evaluate_path(_parse_folded(text, args)).endpoint,
         _fmt_vec,
         lambda endpoint: {"endpoint": list(endpoint)},
     ),
     "heisenberg": (
-        lambda text, args: HeisenbergElement.from_word(parse_word(text, args.d)),
+        lambda text, args: HeisenbergElement.from_word(_parse_folded(text, args)),
         lambda elem: f"endpoint={_fmt_vec(elem.endpoint)} areas={_fmt_areas(elem)}",
         lambda elem: elem.as_json(),
     ),
     "metabelian": (
-        lambda text, args: MetabelianElement.from_word(parse_word(text, args.d)),
+        lambda text, args: MetabelianElement.from_word(_parse_folded(text, args)),
         lambda elem: f"endpoint={_fmt_vec(elem.endpoint)} flow={_fmt_flow(elem.flow)}",
         lambda elem: elem.as_json(),
     ),
@@ -109,13 +123,13 @@ def _cmd_eq(args) -> tuple[str, int]:
 
 
 def _cmd_decompose(args) -> tuple[str, int]:
-    flow = evaluate_path(parse_word(args.word, args.d)).flow
+    flow = evaluate_path(_parse_folded(args.word, args)).flow
     ps = decompose_cycle(flow)
     return (_dumps(ps.as_json()) if args.json else _fmt_plaquettes(ps)), 0
 
 
 def _cmd_area(args) -> tuple[str, int]:
-    flow = evaluate_path(parse_word(args.word, args.d)).flow
+    flow = evaluate_path(_parse_folded(args.word, args)).flow
     value = algebraic_area(flow)
     return (_dumps({"area": value}) if args.json else str(value)), 0
 
@@ -165,7 +179,7 @@ def _cmd_beta(args) -> tuple[str, int]:
 
 
 def _cmd_fox(args) -> tuple[str, int]:
-    image = fox_image(parse_word(args.word, args.d))
+    image = fox_image(_parse_folded(args.word, args))
     if args.json:
         return _dumps(image.as_json()), 0
     derivs = "; ".join(
@@ -187,7 +201,10 @@ def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:
     """Execute one command line; returns (output, error message, exit code)."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(tokens)
+        # A bad line is reported as one marker: argparse's usage text, and the
+        # help text of -h, go to a throwaway buffer, not into the results.
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            args = parser.parse_args(tokens)
     except SystemExit:
         return None, "bad arguments", 2
     if args.verb == "batch":

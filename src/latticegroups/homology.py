@@ -8,28 +8,31 @@ its algebraic area.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .lattice import Edge, EdgeFlow, Vector, _accumulate, basis_vector, vec_add
+from .lattice import Chain, Edge, EdgeFlow, Vector, _accumulate, basis_vector, vec_add
+from .words import RankMismatchError
 
 
 class NotACycleError(ValueError):
     """A flow with nonzero boundary was passed where a cycle is required."""
 
 
-@dataclass(frozen=True, order=True)
-class Plaquette:
-    """Unit square at ``base`` in the (i, j) coordinate plane, 1 <= i < j <= d."""
-
+class _PlaquetteFields(NamedTuple):
     base: Vector
     i: int
     j: int
 
-    def __post_init__(self):
-        if not 1 <= self.i < self.j <= len(self.base):
-            raise ValueError(
-                f"bad plaquette axes ({self.i}, {self.j}) for rank {len(self.base)}"
-            )
+
+class Plaquette(_PlaquetteFields):
+    """Unit square at ``base`` in the (i, j) coordinate plane, 1 <= i < j <= d."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: Vector, i: int, j: int):
+        if not 1 <= i < j <= len(base):
+            raise ValueError(f"bad plaquette axes ({i}, {j}) for rank {len(base)}")
+        return super().__new__(cls, base, i, j)
 
     @property
     def d(self) -> int:
@@ -58,26 +61,21 @@ def _boundary_edges(p: Plaquette) -> tuple[tuple[Edge, int], ...]:
     )
 
 
-class PlaquetteSum:
+class PlaquetteSum(Chain):
     """Finitely supported integer combination of plaquettes."""
 
-    __slots__ = ("d", "_entries")
+    __slots__ = ()
 
-    def __init__(self, d: int, items=()):
-        entries: dict[Plaquette, int] = {}
-        pairs = items.items() if isinstance(items, dict) else items
-        for plaquette, coeff in pairs:
-            if plaquette.d != d:
-                raise ValueError(f"plaquette {plaquette} does not have rank {d}")
-            _accumulate(entries, plaquette, int(coeff))
-        self.d = d
-        self._entries = entries
+    @staticmethod
+    def _key(key, d: int) -> Plaquette:
+        base, i, j = key
+        plaquette = Plaquette(tuple(base), int(i), int(j))
+        if plaquette.d != d:
+            raise RankMismatchError(f"plaquette {plaquette} does not have rank {d}")
+        return plaquette
 
     def coefficient(self, plaquette: Plaquette) -> int:
         return self._entries.get(plaquette, 0)
-
-    def entries(self) -> list[tuple[Plaquette, int]]:
-        return sorted(self._entries.items())
 
     def total(self) -> int:
         return sum(self._entries.values())
@@ -89,44 +87,6 @@ class PlaquetteSum:
             for edge, sign in _boundary_edges(plaquette):
                 _accumulate(entries, edge, sign * coeff)
         return EdgeFlow._of(self.d, entries)
-
-    def __add__(self, other: "PlaquetteSum") -> "PlaquetteSum":
-        if not isinstance(other, PlaquetteSum):
-            return NotImplemented
-        if self.d != other.d:
-            raise ValueError(f"plaquette sum ranks differ: {self.d} vs {other.d}")
-        entries = dict(self._entries)
-        for plaquette, coeff in other._entries.items():
-            _accumulate(entries, plaquette, coeff)
-        return PlaquetteSum(self.d, entries)
-
-    def __neg__(self) -> "PlaquetteSum":
-        return PlaquetteSum(self.d, ((p, -c) for p, c in self._entries.items()))
-
-    def __sub__(self, other: "PlaquetteSum") -> "PlaquetteSum":
-        if not isinstance(other, PlaquetteSum):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar: int) -> "PlaquetteSum":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return PlaquetteSum(self.d, ((p, scalar * c) for p, c in self._entries.items()))
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PlaquetteSum)
-            and self.d == other.d
-            and self._entries == other._entries
-        )
-
-    def __repr__(self) -> str:
-        return f"PlaquetteSum(d={self.d}, {dict(self.entries())!r})"
 
     def as_json(self) -> list[dict]:
         return [
@@ -161,7 +121,7 @@ def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:
             if running:
                 for row in range(b, b_next):
                     coeffs[Plaquette((a, row), 1, 2)] = running
-    return PlaquetteSum(2, coeffs)
+    return PlaquetteSum._of(2, coeffs)
 
 
 def _peel(flow: EdgeFlow) -> PlaquetteSum:
@@ -190,7 +150,7 @@ def _peel(flow: EdgeFlow) -> PlaquetteSum:
         _accumulate(coeffs, plaquette, mult)
         for edge, sign in plaquette_boundary(plaquette).entries():
             _accumulate(work, edge, -mult * sign)
-    return PlaquetteSum(d, coeffs)
+    return PlaquetteSum._of(d, coeffs)
 
 
 def decompose_cycle_2d(flow: EdgeFlow) -> PlaquetteSum:

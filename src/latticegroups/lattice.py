@@ -1,4 +1,4 @@
-"""Integer edge flows on the grid of unit lattice edges, and word evaluation.
+"""Integer chains on the grid of unit lattice edges, and word evaluation.
 
 The grid has one vertex per integer point of Z^d and one edge per unit step
 along a coordinate axis. Every edge is keyed in its positive orientation;
@@ -47,93 +47,139 @@ def _accumulate(entries: dict, key, coeff: int) -> None:
         del entries[key]
 
 
-def _gather(items) -> Iterable[tuple[object, int]]:
-    if isinstance(items, Mapping):
-        return items.items()
-    return items
-
-
-class VertexChain:
-    """Finitely supported integer weights on lattice vertices."""
-
-    __slots__ = ("d", "_entries")
-
-    def __init__(self, d: int, items=()):
-        entries: dict[Vector, int] = {}
-        for vertex, coeff in _gather(items):
-            vertex = tuple(vertex)
-            if len(vertex) != d:
-                raise RankMismatchError(f"vertex {vertex} does not have rank {d}")
-            _accumulate(entries, vertex, int(coeff))
-        self.d = d
-        self._entries = entries
-
-    def value(self, vertex: Vector) -> int:
-        return self._entries.get(tuple(vertex), 0)
-
-    def entries(self) -> list[tuple[Vector, int]]:
-        return sorted(self._entries.items())
-
-    def translate(self, v: Vector) -> "VertexChain":
-        if len(v) != self.d:
-            raise RankMismatchError(f"vector {v} does not have rank {self.d}")
-        return VertexChain(
-            self.d, ((vec_add(vertex, v), coeff) for vertex, coeff in self._entries.items())
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, VertexChain)
-            and self.d == other.d
-            and self._entries == other._entries
-        )
-
-    def __repr__(self) -> str:
-        return f"VertexChain(d={self.d}, {dict(self.entries())!r})"
-
-
-class EdgeFlow:
-    """Finitely supported integer multiplicities on positively oriented edges.
+class Chain:
+    """Finitely supported integer coefficients on one kind of grid cell.
 
     Values are exact arbitrary-precision integers and zero entries are never
-    stored, so equality of flows is plain map equality.
+    stored, so equality of chains is plain map equality. Each kind names its
+    cell keys through ``_key``, which checks and normalises one key.
     """
 
     __slots__ = ("d", "_entries")
 
     def __init__(self, d: int, items=()):
-        entries: dict[Edge, int] = {}
-        for key, coeff in _gather(items):
-            base, axis = key
-            edge = Edge(tuple(base), int(axis))
-            if len(edge.base) != d:
-                raise RankMismatchError(f"edge base {edge.base} does not have rank {d}")
-            if not 1 <= edge.axis <= d:
-                raise ValueError(f"edge axis {edge.axis} out of range 1..{d}")
-            _accumulate(entries, edge, int(coeff))
+        entries: dict = {}
+        key_of = self._key
+        for key, coeff in items.items() if isinstance(items, Mapping) else items:
+            _accumulate(entries, key_of(key, d), int(coeff))
         self.d = d
         self._entries = entries
 
     @classmethod
-    def _of(cls, d: int, entries: dict[Edge, int]) -> "EdgeFlow":
+    def _of(cls, d: int, entries: dict):
         """Trusted constructor for results that are valid by construction:
-        ``entries`` maps rank-``d`` Edge keys with axes in 1..d to nonzero
-        ints, and is adopted without a copy or a check."""
-        flow = object.__new__(cls)
-        flow.d = d
-        flow._entries = entries
-        return flow
+        ``entries`` maps normalised rank-``d`` keys to nonzero ints, and is
+        adopted without a copy or a check."""
+        chain = object.__new__(cls)
+        chain.d = d
+        chain._entries = entries
+        return chain
+
+    def entries(self) -> list:
+        """Entries sorted on their keys."""
+        return sorted(self._entries.items())
+
+    def _check_rank(self, other: "Chain") -> None:
+        if self.d != other.d:
+            raise RankMismatchError(
+                f"{type(self).__name__} ranks differ: {self.d} vs {other.d}"
+            )
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_rank(other)
+        entries = dict(self._entries)
+        for key, coeff in other._entries.items():
+            _accumulate(entries, key, coeff)
+        return self._of(self.d, entries)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_rank(other)
+        entries = dict(self._entries)
+        for key, coeff in other._entries.items():
+            _accumulate(entries, key, -coeff)
+        return self._of(self.d, entries)
+
+    def __neg__(self):
+        return self._of(self.d, {key: -coeff for key, coeff in self._entries.items()})
+
+    def __mul__(self, scalar: int):
+        if not isinstance(scalar, int):
+            return NotImplemented
+        if not scalar:  # zero entries are never stored
+            return self._of(self.d, {})
+        return self._of(self.d, {key: scalar * coeff for key, coeff in self._entries.items()})
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return bool(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.d == other.d
+            and self._entries == other._entries
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(d={self.d}, {dict(self.entries())!r})"
+
+
+class VertexChain(Chain):
+    """Finitely supported integer weights on lattice vertices."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(vertex, d: int) -> Vector:
+        vertex = tuple(vertex)
+        if len(vertex) != d:
+            raise RankMismatchError(f"vertex {vertex} does not have rank {d}")
+        return vertex
+
+    def value(self, vertex: Vector) -> int:
+        return self._entries.get(tuple(vertex), 0)
+
+    def translate(self, v: Vector) -> "VertexChain":
+        if len(v) != self.d:
+            raise RankMismatchError(f"vector {v} does not have rank {self.d}")
+        return VertexChain._of(
+            self.d,
+            {tuple(map(add, vertex, v)): coeff for vertex, coeff in self._entries.items()},
+        )
+
+
+class EdgeFlow(Chain):
+    """Finitely supported integer multiplicities on positively oriented edges."""
+
+    __slots__ = ()
+
+    # perfbench/spans.py finds traced methods in vars(EdgeFlow), which holds
+    # only names bound in this class body, so the inherited ones are bound here.
+    __init__, __add__, __sub__, __neg__, __mul__, __rmul__ = (
+        Chain.__init__, Chain.__add__, Chain.__sub__, Chain.__neg__, Chain.__mul__, Chain.__rmul__
+    )
+
+    @staticmethod
+    def _key(key, d: int) -> Edge:
+        base, axis = key
+        edge = Edge(tuple(base), int(axis))
+        if len(edge.base) != d:
+            raise RankMismatchError(f"edge base {edge.base} does not have rank {d}")
+        if not 1 <= edge.axis <= d:
+            raise ValueError(f"edge axis {edge.axis} out of range 1..{d}")
+        return edge
 
     def value(self, edge: Edge | tuple[Vector, int]) -> int:
         base, axis = edge
         return self._entries.get(Edge(tuple(base), axis), 0)
-
-    def entries(self) -> list[tuple[Edge, int]]:
-        """Entries sorted lexicographically on (base, axis)."""
-        return sorted(self._entries.items())
 
     def support(self) -> list[Edge]:
         return sorted(self._entries)
@@ -150,67 +196,16 @@ class EdgeFlow:
         )
 
     def boundary(self) -> VertexChain:
-        units = {axis: basis_vector(self.d, axis) for axis in range(1, self.d + 1)}
+        # Unit vectors only for the axes in use: building all d of them costs d^2.
+        units = {axis: basis_vector(self.d, axis) for axis in {axis for _, axis in self._entries}}
         chain: dict[Vector, int] = {}
         for (base, axis), coeff in self._entries.items():
             _accumulate(chain, tuple(map(add, base, units[axis])), coeff)
             _accumulate(chain, base, -coeff)
-        return VertexChain(self.d, chain)
+        return VertexChain._of(self.d, chain)
 
     def is_cycle(self) -> bool:
         return not self.boundary()
-
-    def _check_rank(self, other: "EdgeFlow") -> None:
-        if self.d != other.d:
-            raise RankMismatchError(f"flow ranks differ: {self.d} vs {other.d}")
-
-    def __add__(self, other: "EdgeFlow") -> "EdgeFlow":
-        if not isinstance(other, EdgeFlow):
-            return NotImplemented
-        self._check_rank(other)
-        entries = dict(self._entries)
-        for edge, coeff in other._entries.items():
-            _accumulate(entries, edge, coeff)
-        return EdgeFlow._of(self.d, entries)
-
-    def __sub__(self, other: "EdgeFlow") -> "EdgeFlow":
-        if not isinstance(other, EdgeFlow):
-            return NotImplemented
-        self._check_rank(other)
-        entries = dict(self._entries)
-        for edge, coeff in other._entries.items():
-            _accumulate(entries, edge, -coeff)
-        return EdgeFlow._of(self.d, entries)
-
-    def __neg__(self) -> "EdgeFlow":
-        return EdgeFlow._of(self.d, {edge: -coeff for edge, coeff in self._entries.items()})
-
-    def __mul__(self, scalar: int) -> "EdgeFlow":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        if not scalar:  # zero entries are never stored
-            return EdgeFlow._of(self.d, {})
-        return EdgeFlow._of(
-            self.d, {edge: scalar * coeff for edge, coeff in self._entries.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, EdgeFlow)
-            and self.d == other.d
-            and self._entries == other._entries
-        )
-
-    def __repr__(self) -> str:
-        return f"EdgeFlow(d={self.d}, {dict(self.entries())!r})"
 
     def as_json(self) -> list[dict]:
         return [

@@ -9,7 +9,7 @@ in d commuting variables, computed by genuine polynomial arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cocycles import monomial_flow, monomial_word
 from .homology import Plaquette
@@ -145,8 +145,7 @@ def _poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return out
 
 
-@dataclass(frozen=True)
-class FoxImage:
+class FoxImage(NamedTuple):
     """Matrix-embedding image: a monomial exponent plus one Laurent coefficient
     map per generator."""
 

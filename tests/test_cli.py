@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import random
+import shlex
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from latticegroups import MetabelianElement, parse_word
-from latticegroups.cli import REGISTRY, main
+from latticegroups.cli import REGISTRY, SUBGROUPS, main
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -129,21 +134,53 @@ def test_batch_line_led_by_negative_vector(tmp_path, capsys):
     assert capsys.readouterr().out == golden + "error: bad arguments\n"
 
 
-# Inputs whose eager expansion used to run without end.
-HUGE = [
-    ["eval", "--group", "abelian", "--d", "1", "x1^99999999999"],
-    ["eval", "--group", "satellite", "--k", "1", "z^99999999999"],
-    ["cocycle", "99999999999,0", "0,1"],
-]
+# Inputs whose eager expansion used to run without end, and ranks whose fold
+# (a d-tuple copied per letter) used to exhaust memory or run for minutes.
+HUGE = {
+    "abelian": ["eval", "--group", "abelian", "--d", "1", "x1^99999999999"],
+    "satellite": ["eval", "--group", "satellite", "--k", "1", "z^99999999999"],
+    "cocycle": ["cocycle", "99999999999,0", "0,1"],
+    "abelian-rank": ["eval", "--group", "abelian", "--d", "1000000000", "x1"],
+    "metabelian-rank": ["eval", "--group", "metabelian", "--d", "200000", "x1^5000"],
+    "heisenberg-rank": ["eval", "--group", "heisenberg", "--d", "200000", "x1^5000"],
+    "eq-rank": ["eq", "--group", "metabelian", "--d", "1000000000", "x1", "x1"],
+    "decompose-rank": ["decompose", "--d", "1000000000", ""],
+    "area-rank": ["area", "--d", "200000", "x1^5000"],
+    "fox-rank": ["fox", "--d", "1000000000", "x1"],
+}
 
 
-@pytest.mark.parametrize("argv", HUGE, ids=["abelian", "satellite", "cocycle"])
+@pytest.mark.parametrize("argv", list(HUGE.values()), ids=list(HUGE))
 def test_huge_input_refused(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_rank_at_the_bound_costs_linear_time(capsys):
+    # The empty word's cycle check at rank 10^6 once built all d unit vectors.
+    assert main(["decompose", "--d", str(10**6), "--json", ""]) == 0
+    assert capsys.readouterr().out == "[]\n"
+
+
+def test_free_group_ignores_rank_bound(capsys):
+    # Free reduction never builds a d-tuple, so a huge rank costs nothing.
+    assert main(["reduce", "--d", "1000000000", "x1 x7^2 x7^-1"]) == 0
+    assert capsys.readouterr().out == "x1 x7\n"
+
+
+def test_batch_bad_lines_write_only_markers(tmp_path, capsys):
+    commands = tmp_path / "commands.txt"
+    commands.write_text(
+        "frobnicate x1\neval --group abelian\neval --group bogus x1\neval -h\n",
+        encoding="utf-8",
+    )
+    assert main(["batch", "--json", str(commands)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "error: bad arguments\n" * 4
+    assert captured.err == ""
 
 
 def test_output_is_deterministic(capsys):
@@ -196,3 +233,118 @@ def test_batch_empty_file(tmp_path, capsys):
 
 def test_nf_rejects_other_groups(capsys):
     assert main(["nf", "--group", "free", "--d", "2", "x1"]) == 2
+
+
+# --- fuzz: the CLI contract for any argv and any batch file -----------------
+
+_NAMES = ("x1", "x2", "x3", "x4", "x", "y", "z")
+_NUMBERS = ("-3", "-1", "0", "1", "2", "3", "4", "1000000000", "-99999999999", str(10**30))
+_NOISE = st.text(alphabet="xyz^0123456789-. '\"", max_size=14)
+
+
+def _word(digits):
+    """Word text over x1..x4, x, y, z with exponents of up to ``digits``
+    digits, or noise over the same alphabet."""
+    exponent = st.integers(1, 10**digits - 1).flatmap(
+        lambda n: st.sampled_from((f"^{n}", f"^-{n}", f"^+{n}"))
+    )
+    token = st.tuples(st.sampled_from(_NAMES), st.one_of(st.just(""), exponent)).map("".join)
+    words = st.tuples(
+        st.lists(token, max_size=4), st.sampled_from((" ", ".", " . "))
+    ).map(lambda parts: parts[1].join(parts[0]))
+    return st.one_of(words, _NOISE)
+
+
+_VECTOR = st.one_of(st.from_regex(r"-?[0-9]{1,3}(,-?[0-9]{1,3}){0,2}", fullmatch=True), _NOISE)
+
+# verb -> number of positionals. Unknown verbs check argparse's refusal.
+_VERBS = {
+    "reduce": 1, "eval": 1, "eq": 2, "nf": 1, "decompose": 1, "area": 1,
+    "cocycle": 2, "beta": 0, "fox": 1, "member": 1, "frobnicate": 1,
+}
+_PERTURB_FILES = (PERTURB, *(str(DATA / name) for name in BAD_PERTURB), str(DATA / "none.json"))
+_FLAGS = {
+    "--group": st.sampled_from((*REGISTRY, "bogus")),
+    "--d": st.one_of(st.sampled_from(_NUMBERS), st.integers(-5, 5).map(str)),
+    "--k": st.one_of(st.sampled_from(_NUMBERS), st.integers(-5, 5).map(str)),
+    "--sub": st.sampled_from((*SUBGROUPS, "Q")),
+    "--perturb": st.sampled_from(_PERTURB_FILES),
+    "--json": st.just(None),
+}
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(sorted(_VERBS)))
+    argv = [verb]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAGS)), unique=True, max_size=5)):
+        value = draw(_FLAGS[flag])
+        argv += [flag] if value is None else [flag, value]
+    # Plaquette decomposition and the level-k product cost the square of the
+    # exponents, so their words keep one-digit exponents; the rest take three.
+    group = argv[argv.index("--group") + 1] if "--group" in argv else None
+    digits = 1 if verb in ("decompose", "member") or group == "satellite" else 3
+    positional = _VECTOR if verb == "cocycle" else _word(digits)
+    argv += [draw(positional) for _ in range(_VERBS[verb])]
+    return argv
+
+
+def _run_main(argv):
+    """``main(argv)`` with stdout and stderr captured; a raise fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_json_lines(text):
+    for line in text.splitlines():
+        if line.strip():
+            json.loads(line)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+@example(["eval", "--group", "abelian", "--d", "1000000000", "--json", "x1"])
+@example(["decompose", "--d", "-3", "--json", ""])
+def test_fuzz_argv_keeps_contract(argv):
+    code, out, err = _run_main(argv)
+    assert code in (0, 1, 2)
+    if "--json" in argv:
+        _check_json_lines(out)
+
+
+@st.composite
+def _batch_file(draw):
+    lines = draw(
+        st.lists(
+            st.one_of(
+                _argv().map(shlex.join),
+                _NOISE,
+                st.sampled_from(("", "eval -h", "batch lines.txt", "-h")),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return "\n".join(lines) + "\n", lines
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_batch_file(), st.booleans())
+def test_fuzz_batch_keeps_contract(batch, json_flag):
+    text, lines = batch
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = _run_main(["batch", str(path), *(["--json"] if json_flag else [])])
+    assert code == 0
+    assert err == ""
+    results = out.split("\n")
+    assert results.pop() == ""
+    assert len(results) == len(lines)
+    for line, result in zip(lines, results):
+        if result.startswith("error: "):
+            continue
+        if "--json" in shlex.split(line):
+            json.loads(result)

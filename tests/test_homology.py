@@ -238,3 +238,15 @@ def test_plaquette_sum_json_round_trip():
 def test_non_loop_word_flow_rejected_by_area():
     with pytest.raises(NotACycleError):
         algebraic_area(flow_of("x1 x2"))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_decomposition_survives_public_rebuild(d):
+    # decompose_cycle adopts its coefficients without a check; rebuilding them
+    # through the public constructor must change nothing.
+    rng = random.Random(f"rebuild-{d}")
+    for _ in range(40):
+        flow = random_loop_flow(rng, d, 12)
+        ps = decompose_cycle(flow)
+        assert ps == PlaquetteSum(flow.d, ps.entries())
+        assert ps.boundary_flow() == flow

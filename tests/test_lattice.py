@@ -7,15 +7,18 @@ from latticegroups import (
     Edge,
     EdgeFlow,
     Letter,
+    Plaquette,
+    PlaquetteSum,
     RankMismatchError,
     VertexChain,
     Word,
+    decompose_cycle,
     evaluate_letters,
     evaluate_path,
     is_loop,
     parse_word,
 )
-from helpers import flow_of, random_loop_word, random_word, w
+from helpers import flow_of, random_loop_flow, random_loop_word, random_word, w
 
 
 def words_st(d, max_len=14):
@@ -106,16 +109,32 @@ class TestFlowAlgebra:
 
     def test_trusted_results_pass_public_checks(self):
         # Rebuilding through the public constructor changes nothing, so no
-        # result stores a zero entry or a key that is not a rank-d Edge.
+        # result stores a zero entry or a key its kind would normalise:
+        # a rank-d Edge, vertex tuple or Plaquette.
+        keys = {EdgeFlow: Edge, VertexChain: tuple, PlaquetteSum: Plaquette}
         rng = random.Random(13)
         for _ in range(60):
             d = rng.choice((1, 2, 3))
             f = evaluate_path(random_word(rng, d, 12)).flow
             g = evaluate_path(random_word(rng, d, 12)).flow
             shift = tuple(rng.randint(-3, 3) for _ in range(d))
-            for h in (f + g, f - g, f - f, -f, 0 * f, rng.randint(-3, 3) * f, f.translate(shift)):
-                assert EdgeFlow(d, h.entries()) == h
-                assert all(type(key) is Edge for key, _ in h.entries())
+            pairs = [(f, g), (f.boundary(), g.boundary())]
+            if d >= 2:
+                pairs.append(
+                    (
+                        decompose_cycle(random_loop_flow(rng, d, 6)),
+                        decompose_cycle(random_loop_flow(rng, d, 6)),
+                    )
+                )
+            for a, b in pairs:
+                kind = type(a)
+                results = [a + b, a - b, a - a, -a, 0 * a, a * 0, rng.randint(-3, 3) * a]
+                if kind is not PlaquetteSum:
+                    results.append(a.translate(shift))
+                for h in results:
+                    assert type(h) is kind
+                    assert kind(d, h.entries()) == h
+                    assert all(type(key) is keys[kind] for key, _ in h.entries())
 
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
@@ -136,6 +155,82 @@ class TestFlowAlgebra:
         euv, fuv = evaluate_path(u * v)
         assert euv == tuple(a + b for a, b in zip(eu, ev))
         assert fuv == fu + fv.translate(eu)
+
+
+class TestChain:
+    """Vertex chains, edge flows and plaquette sums share one algebra."""
+
+    def test_kinds_never_compare_equal(self):
+        kinds = [VertexChain(2), EdgeFlow(2), PlaquetteSum(2)]
+        for a in kinds:
+            for b in kinds:
+                assert (a == b) == (a is b)
+        assert VertexChain(2, {(0, 0): 1}) != EdgeFlow(2, {Edge((0, 0), 1): 1})
+
+    def test_algebra_across_kinds_raises_type_error(self):
+        with pytest.raises(TypeError):
+            EdgeFlow(2) + VertexChain(2)
+        with pytest.raises(TypeError):
+            PlaquetteSum(2) - EdgeFlow(2)
+        with pytest.raises(TypeError):
+            VertexChain(2) + PlaquetteSum(2)
+        with pytest.raises(TypeError):
+            EdgeFlow(2) * EdgeFlow(2)
+
+    @pytest.mark.parametrize("kind", [VertexChain, EdgeFlow, PlaquetteSum])
+    def test_mixed_ranks_raise(self, kind):
+        with pytest.raises(RankMismatchError):
+            kind(2) + kind(3)
+        with pytest.raises(RankMismatchError):
+            kind(2) - kind(3)
+
+    def test_constructor_checks_key_rank(self):
+        with pytest.raises(RankMismatchError):
+            VertexChain(2, {(0, 0, 0): 1})
+        with pytest.raises(RankMismatchError):
+            EdgeFlow(2, {((0, 0, 0), 1): 1})
+        with pytest.raises(RankMismatchError):
+            PlaquetteSum(2, {Plaquette((0, 0, 0), 1, 2): 1})
+        # PlaquetteSum's rank errors were plain ValueErrors; they still are.
+        assert issubclass(RankMismatchError, ValueError)
+        with pytest.raises(ValueError):
+            PlaquetteSum(2, {((0, 0), 1, 3): 1})
+
+    def test_constructor_normalises_keys_and_drops_zeros(self):
+        chain = VertexChain(2, [([1, 2], 3), ((1, 2), -3), ((0, 0), 2)])
+        assert chain.entries() == [((0, 0), 2)]
+        assert len(chain) == 1
+        ps = PlaquetteSum(2, [(([0, 0], 1, 2), 2), (Plaquette((0, 0), 1, 2), 1)])
+        assert ps.entries() == [(Plaquette((0, 0), 1, 2), 3)]
+        assert type(ps.entries()[0][0]) is Plaquette
+
+    def test_repr_names_the_kind(self):
+        assert repr(VertexChain(2, {(0, 0): 1})) == "VertexChain(d=2, {(0, 0): 1})"
+        assert repr(EdgeFlow(1, {((0,), 1): -2})) == "EdgeFlow(d=1, {Edge(base=(0,), axis=1): -2})"
+        assert repr(PlaquetteSum(2, {Plaquette((0, 0), 1, 2): 1})) == (
+            "PlaquetteSum(d=2, {Plaquette(base=(0, 0), i=1, j=2): 1})"
+        )
+
+
+class TestPlaquetteKey:
+    def test_named_tuple_fields(self):
+        p = Plaquette((1, -2, 0), 1, 3)
+        base, i, j = p
+        assert (base, i, j) == ((1, -2, 0), 1, 3)
+        assert (p.base, p.i, p.j, p.d) == ((1, -2, 0), 1, 3, 3)
+        assert repr(p) == "Plaquette(base=(1, -2, 0), i=1, j=3)"
+
+    def test_ordering_and_hashing(self):
+        ps = [
+            Plaquette((1, 0), 1, 2),
+            Plaquette((0, 5), 1, 2),
+            Plaquette((0, 0, 0), 2, 3),
+            Plaquette((0, 0, 0), 1, 3),
+        ]
+        assert sorted(ps) == [ps[3], ps[2], ps[1], ps[0]]
+        assert hash(Plaquette((0, 5), 1, 2)) == hash(ps[1])
+        assert {Plaquette((0, 5), 1, 2): 7}[ps[1]] == 7
+        assert len(set(ps + [Plaquette((1, 0), 1, 2)])) == 4
 
 
 class TestLoops:
