@@ -16,7 +16,7 @@ import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from .cocycles import PerturbedCocycle, ScaledCocycle, canonical_cocycle, cocycle_index
+from .cocycles import Cocycle, canonical_cocycle, cocycle_index
 from .homology import NotACycleError, algebraic_area, decompose_cycle, plaquette_sum_from_json
 from .lattice import evaluate_path
 from .metabelian import MetabelianElement, fox_image
@@ -171,10 +171,8 @@ def _load_perturbation(path: str) -> dict:
 
 
 def _cmd_beta(args) -> tuple[str, int]:
-    table = ScaledCocycle(2, args.k)
-    if args.perturb:
-        table = PerturbedCocycle(table, _load_perturbation(args.perturb))
-    value = cocycle_index(table)
+    shifts = _load_perturbation(args.perturb) if args.perturb else {}
+    value = cocycle_index(Cocycle(2, args.k, shifts))
     return (_dumps({"beta": value}) if args.json else str(value)), 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .homology import algebraic_area
-from .lattice import Edge, EdgeFlow, Vector, vec_add, vec_neg
+from .lattice import Edge, EdgeFlow, Vector, vec_add
 from .words import Letter, RankMismatchError, Word
 
 
@@ -58,39 +58,6 @@ def canonical_cocycle(g1: Vector, g2: Vector) -> EdgeFlow:
     )
 
 
-class Cocycle:
-    """A rule assigning a cycle to every pair of lattice vectors; callable."""
-
-    d: int
-
-    def value(self, g1: Vector, g2: Vector) -> EdgeFlow:
-        raise NotImplementedError
-
-    def __call__(self, g1: Vector, g2: Vector) -> EdgeFlow:
-        return self.value(g1, g2)
-
-
-class CanonicalCocycle(Cocycle):
-    """The cocycle of the monomial section itself."""
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def value(self, g1: Vector, g2: Vector) -> EdgeFlow:
-        return canonical_cocycle(g1, g2)
-
-
-class ScaledCocycle(Cocycle):
-    """An integer multiple of the canonical cocycle; level 0 is the split case."""
-
-    def __init__(self, d: int, k: int):
-        self.d = d
-        self.k = k
-
-    def value(self, g1: Vector, g2: Vector) -> EdgeFlow:
-        return canonical_cocycle(g1, g2) * self.k
-
-
 def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> EdgeFlow:
     """u(g1) + (u(g2) shifted by g1) - u(g1+g2), for finitely supported cycle-valued u."""
     if len(g1) != len(g2):
@@ -108,22 +75,25 @@ def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> Edg
     return lookup(g1) + lookup(g2).translate(tuple(g1)) - lookup(vec_add(g1, g2))
 
 
-class PerturbedCocycle(Cocycle):
-    """A base rule plus the coboundary of a finitely supported cycle assignment.
+class Cocycle:
+    """k times the canonical cocycle plus the coboundary of a cycle assignment; callable.
 
-    The assignment must vanish at the origin so that the perturbed rule stays
-    normalized (zero whenever either argument is zero).
+    Every cocycle the package builds has this form, and the index of
+    :func:`cocycle_index` classifies them by k. ``shifts`` maps lattice
+    vectors to cycles; zero values are dropped, and the assignment must
+    vanish at the origin so that the rule stays normalized (zero whenever
+    either argument is zero). Level 0 with no shifts is the split case.
     """
 
-    def __init__(self, base: Cocycle, shifts: Mapping[Vector, EdgeFlow]):
+    def __init__(self, d: int, k: int = 1, shifts: Mapping[Vector, EdgeFlow] = {}):
         cleaned: dict[Vector, EdgeFlow] = {}
-        origin = (0,) * base.d
+        origin = (0,) * d
         for vec, flow in shifts.items():
             vec = tuple(vec)
-            if len(vec) != base.d:
-                raise RankMismatchError(f"shift vector {vec} does not have rank {base.d}")
-            if flow.d != base.d:
-                raise RankMismatchError(f"shift value at {vec} does not have rank {base.d}")
+            if len(vec) != d:
+                raise RankMismatchError(f"shift vector {vec} does not have rank {d}")
+            if flow.d != d:
+                raise RankMismatchError(f"shift value at {vec} does not have rank {d}")
             if not flow.is_cycle():
                 raise ValueError(f"shift value at {vec} is not a cycle")
             if not flow:
@@ -131,12 +101,35 @@ class PerturbedCocycle(Cocycle):
             if vec == origin:
                 raise ValueError("a nonzero shift at the origin breaks normalization")
             cleaned[vec] = flow
-        self.base = base
+        self.d = d
+        self.k = k
         self.shifts = cleaned
-        self.d = base.d
 
     def value(self, g1: Vector, g2: Vector) -> EdgeFlow:
-        return self.base.value(g1, g2) + coboundary(self.shifts, g1, g2)
+        flow = canonical_cocycle(g1, g2) * self.k
+        if self.shifts:
+            flow = flow + coboundary(self.shifts, g1, g2)
+        return flow
+
+    def __call__(self, g1: Vector, g2: Vector) -> EdgeFlow:
+        return self.value(g1, g2)
+
+
+CanonicalCocycle = ScaledCocycle = Cocycle
+
+
+def PerturbedCocycle(base: Cocycle, shifts: Mapping[Vector, EdgeFlow]) -> Cocycle:
+    """``base`` plus the coboundary of ``shifts``.
+
+    The coboundary is linear in the assignment, so this is the cocycle of
+    ``base``'s level whose shifts are ``base.shifts`` plus ``shifts``,
+    summed per vector.
+    """
+    summed = dict(base.shifts)
+    for vec, flow in shifts.items():
+        vec = tuple(vec)
+        summed[vec] = summed[vec] + flow if vec in summed else flow
+    return Cocycle(base.d, base.k, summed)
 
 
 def check_cocycle_identity(table: Cocycle, g1: Vector, g2: Vector, g3: Vector) -> bool:
@@ -150,36 +143,21 @@ def check_cocycle_identity(table: Cocycle, g1: Vector, g2: Vector, g3: Vector) -
     return not total
 
 
-def _ext_mul(table: Cocycle, a, b):
-    (v1, h1), (v2, h2) = a, b
-    return vec_add(v1, v2), h1 + h2.translate(v1) + table(v1, v2)
-
-
-def _ext_inv(table: Cocycle, a):
-    v, h = a
-    w = vec_neg(v)
-    return w, -((h + table(v, w)).translate(w))
-
-
 def commutator_defect(table: Cocycle) -> EdgeFlow:
-    """Cycle part of the commutator of the generator lifts ((1,0), 0), ((0,1), 0).
+    """Cycle part of the commutator of the generator lifts x~ = ((1,0), 0), y~ = ((0,1), 0).
 
     Only defined for d = 2, where the defect pins down the extension: the
     lifts commute exactly when it vanishes.
+
+    In the extension twisted by a cocycle c the product is
+    (v, h)(v', h') = (v + v', h + (h' shifted by v) + c(v, v')), so
+    x~y~ = (x + y, c(x, y)) and y~x~ = (x + y, c(y, x)). Two elements over
+    the same vector v satisfy (v, h)(v, h')^-1 = (0, h - h'), hence
+    [x~, y~] = (x~y~)(y~x~)^-1 = (0, c(x, y) - c(y, x)).
     """
     if table.d != 2:
         raise ValueError(f"commutator defect needs rank 2, got {table.d}")
-    zero = EdgeFlow(2)
-    x = ((1, 0), zero)
-    y = ((0, 1), zero)
-    product = _ext_mul(
-        table,
-        _ext_mul(table, _ext_mul(table, x, y), _ext_inv(table, x)),
-        _ext_inv(table, y),
-    )
-    vec, cycle = product
-    assert vec == (0, 0)
-    return cycle
+    return table((1, 0), (0, 1)) - table((0, 1), (1, 0))
 
 
 def cocycle_index(table: Cocycle) -> int:

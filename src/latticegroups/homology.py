@@ -8,6 +8,7 @@ its algebraic area.
 
 from __future__ import annotations
 
+import heapq
 from typing import NamedTuple
 
 from .lattice import Chain, Edge, EdgeFlow, Vector, _accumulate, basis_vector, vec_add
@@ -138,17 +139,26 @@ def _peel(flow: EdgeFlow) -> PlaquetteSum:
     """
     d = flow.d
     work = dict(flow.entries())
+    # The least supported edge is the least live heap entry. An entry goes
+    # stale when its edge cancels out of ``work``; it is skipped when popped.
+    heap = list(work)
+    heapq.heapify(heap)
     coeffs: dict[Plaquette, int] = {}
-    while work:
-        base, axis = min(work)
-        mult = work[Edge(base, axis)]
+    while heap:
+        least = heapq.heappop(heap)
+        mult = work.get(least)
+        if mult is None:
+            continue
+        base, axis = least
         partner = next(
             (j for j in range(axis + 1, d + 1) if Edge(base, j) in work), None
         )
         assert partner is not None, "cycle support must close at its least vertex"
         plaquette = Plaquette(base, axis, partner)
         _accumulate(coeffs, plaquette, mult)
-        for edge, sign in plaquette_boundary(plaquette).entries():
+        for edge, sign in _boundary_edges(plaquette):
+            if edge not in work:
+                heapq.heappush(heap, edge)
             _accumulate(work, edge, -mult * sign)
     return PlaquetteSum._of(d, coeffs)
 

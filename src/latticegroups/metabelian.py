@@ -24,7 +24,6 @@ from .lattice import (
     vec_neg,
 )
 from .words import GroupElement, Letter, RankMismatchError, Word, commutator
-from .words import commutator as element_commutator
 
 
 class MetabelianElement(GroupElement):

@@ -9,6 +9,7 @@ from latticegroups import (
     EdgeFlow,
     PerturbedCocycle,
     Plaquette,
+    RankMismatchError,
     ScaledCocycle,
     Word,
     algebraic_area,
@@ -22,6 +23,8 @@ from latticegroups import (
     monomial_word,
     plaquette_boundary,
     parse_word,
+    vec_add,
+    vec_neg,
 )
 from helpers import random_loop_flow
 
@@ -39,6 +42,32 @@ def random_shifts(rng, count=3, d=2):
             continue
         shifts[vec] = random_loop_flow(rng, d, 6)
     return shifts
+
+
+def ext_mul(table, a, b):
+    """Product in the extension twisted by ``table``, multiplied out."""
+    (v1, h1), (v2, h2) = a, b
+    return vec_add(v1, v2), h1 + h2.translate(v1) + table(v1, v2)
+
+
+def ext_inv(table, a):
+    v, h = a
+    w = vec_neg(v)
+    return w, -((h + table(v, w)).translate(w))
+
+
+def defect_by_products(table):
+    """Cycle part of ((x y) x^-1) y^-1 for the generator lifts, by explicit products."""
+    zero = EdgeFlow(2)
+    x = ((1, 0), zero)
+    y = ((0, 1), zero)
+    vec, cycle = ext_mul(
+        table,
+        ext_mul(table, ext_mul(table, x, y), ext_inv(table, x)),
+        ext_inv(table, y),
+    )
+    assert vec == (0, 0)
+    return cycle
 
 
 class TestMonomialSection:
@@ -180,6 +209,69 @@ class TestCoboundary:
             assert not table((0, 0), g)
             assert not table(g, (0, 0))
             assert table(g, random_vec(rng)).is_cycle()
+
+
+class TestOneCocycleType:
+    UNIT = plaquette_boundary(Plaquette((0, 0), 1, 2))
+    BOX = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+
+    def test_names_are_one_class(self):
+        assert CanonicalCocycle is ScaledCocycle is Cocycle
+        table = PerturbedCocycle(ScaledCocycle(2, 3), {(1, 0): self.UNIT})
+        assert type(table) is Cocycle and table.k == 3 and table.d == 2
+
+    def test_scaled_is_multiple_of_canonical(self):
+        rng = random.Random(37)
+        for k in range(-3, 4):
+            table = ScaledCocycle(2, k)
+            for _ in range(15):
+                g1, g2 = random_vec(rng), random_vec(rng)
+                assert table(g1, g2) == k * canonical_cocycle(g1, g2)
+
+    def test_closed_form_defect_matches_products(self):
+        rng = random.Random(41)
+        tables = [CanonicalCocycle(2)] + [ScaledCocycle(2, k) for k in range(-4, 5)]
+        for _ in range(30):
+            k = rng.randint(-4, 4)
+            once = PerturbedCocycle(ScaledCocycle(2, k), random_shifts(rng))
+            tables += [once, PerturbedCocycle(once, random_shifts(rng))]
+        for table in tables:
+            assert commutator_defect(table) == defect_by_products(table)
+
+    def test_perturbing_twice_sums_assignments(self):
+        rng = random.Random(43)
+        for _ in range(5):
+            base = ScaledCocycle(2, rng.randint(-2, 2))
+            first, second = random_shifts(rng), random_shifts(rng)
+            second[next(iter(first))] = self.UNIT  # one vector shifted twice
+            summed = dict(first)
+            for vec, flow in second.items():
+                summed[vec] = summed.get(vec, EdgeFlow(2)) + flow
+            twice = PerturbedCocycle(PerturbedCocycle(base, first), second)
+            once = PerturbedCocycle(base, summed)
+            for g1, g2 in itertools.product(self.BOX, repeat=2):
+                expected = base(g1, g2) + coboundary(first, g1, g2) + coboundary(second, g1, g2)
+                assert twice(g1, g2) == once(g1, g2) == expected
+
+    def test_cancelling_shifts_are_dropped(self):
+        table = PerturbedCocycle(
+            PerturbedCocycle(CanonicalCocycle(2), {(1, 0): self.UNIT, (0, 2): self.UNIT}),
+            {(1, 0): -self.UNIT},
+        )
+        assert list(table.shifts) == [(0, 2)]
+        table = PerturbedCocycle(table, {(0, 2): -self.UNIT})
+        assert table.shifts == {}
+        for g1, g2 in itertools.product(self.BOX, repeat=2):
+            assert table(g1, g2) == canonical_cocycle(g1, g2)
+
+    def test_rejections_after_summing(self):
+        base = PerturbedCocycle(CanonicalCocycle(2), {(1, 0): self.UNIT})
+        with pytest.raises(ValueError, match="origin"):
+            PerturbedCocycle(base, {(0, 0): self.UNIT})
+        with pytest.raises(ValueError, match="not a cycle"):
+            PerturbedCocycle(base, {(1, 0): EdgeFlow(2, {((0, 0), 1): 1})})
+        with pytest.raises(RankMismatchError):
+            PerturbedCocycle(base, {(1, 0, 0): self.UNIT})
 
 
 class TestIndex:

@@ -19,12 +19,30 @@ from latticegroups import (
     project_flow,
 )
 from latticegroups.homology import _peel
+from latticegroups.lattice import _accumulate
 from helpers import flow_of, random_loop_flow, random_loop_word, random_word, shuffled_copy, w
 
 
 def area_by_line_integral(flow):
     """Independent area oracle: the discrete integral of x1 against dx2."""
     return sum(coeff * base[0] for (base, axis), coeff in flow.entries() if axis == 2)
+
+
+def scan_peel(flow):
+    """The greedy peel as first written: a full ``min`` scan of the remaining
+    support per step. Reference for the heap-driven :func:`_peel`."""
+    d = flow.d
+    work = dict(flow.entries())
+    coeffs = {}
+    while work:
+        base, axis = min(work)
+        mult = work[Edge(base, axis)]
+        partner = next(j for j in range(axis + 1, d + 1) if Edge(base, j) in work)
+        plaquette = Plaquette(base, axis, partner)
+        _accumulate(coeffs, plaquette, mult)
+        for edge, sign in plaquette_boundary(plaquette).entries():
+            _accumulate(work, edge, -mult * sign)
+    return PlaquetteSum(d, coeffs)
 
 
 def planar_loops():
@@ -196,6 +214,15 @@ class TestGeneralDecompose:
             d = rng.choice((2, 3, 4))
             flow = random_loop_flow(rng, d, 10)
             assert decompose_cycle(flow).boundary_flow() == flow
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_heap_peel_matches_scan_peel(self, d):
+        rng = random.Random(53 + d)
+        for _ in range(150):
+            flow = random_loop_flow(rng, d, 25)
+            assert decompose_cycle(flow) == scan_peel(flow)
+        flow = flow_of("x1^9 x3^7 x2^-4 x1^-9 x3^-7 x2^4", d=d)
+        assert decompose_cycle(flow) == scan_peel(flow)
 
     def test_mixed_plane_combination(self):
         combo = (
