@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .homology import algebraic_area
-from .lattice import Edge, EdgeFlow, Vector, vec_add
+from .lattice import Edge, EdgeFlow, Vector, _accumulate, vec_add
 from .words import Letter, RankMismatchError, Word
 
 
@@ -48,14 +48,53 @@ def monomial_flow(vec: Vector) -> EdgeFlow:
 
 def canonical_cocycle(g1: Vector, g2: Vector) -> EdgeFlow:
     """Cycle of the loop: monomial path to g1, shifted monomial path onward
-    to g1+g2, then the monomial path from g1+g2 reversed."""
+    to g1+g2, then the monomial path from g1+g2 reversed.
+
+    That is ``m(g1) + T_{g1} m(g2) - m(g1 + g2)`` with ``m`` the
+    :func:`monomial_flow`, emitted in closed form as a sum of rectangle
+    boundaries. The first two paths walk the runs g1_1 ... g1_d g2_1 ...
+    g2_d; bubble-sorting each run g2_i leftward past g1_d, ..., g1_{i+1}
+    turns them into the runs of m(g1 + g2). The swap of g2_i with g1_j
+    (i < j) changes the path by the boundary of one rectangle in the
+    (i, j) plane, with coefficient ``-sign(g2_i) * sign(g1_j)``. It spans
+    [g1_i, g1_i + g2_i) along axis i and [0, g1_j) along axis j, and its
+    other coordinates are where the swap happens: g1_t + g2_t for t < i,
+    g1_t for i < t < j, and 0 for t > j. Each rectangle's boundary is
+    emitted as four runs of unit edges.
+    """
     if len(g1) != len(g2):
         raise RankMismatchError(f"vector ranks differ: {len(g1)} vs {len(g2)}")
-    return (
-        monomial_flow(g1)
-        + monomial_flow(g2).translate(tuple(g1))
-        - monomial_flow(vec_add(g1, g2))
-    )
+    d = len(g1)
+    if d < 1:
+        raise ValueError(f"rank must be positive, got {d}")
+    entries: dict[Edge, int] = {}
+    for i in range(d):
+        if not g2[i]:
+            continue
+        lo_i, hi_i = sorted((g1[i], g1[i] + g2[i]))
+        for j in range(i + 1, d):
+            if not g1[j]:
+                continue
+            lo_j, hi_j = sorted((0, g1[j]))
+            sign = -1 if (g2[i] > 0) == (g1[j] > 0) else 1
+            corner = [a + b for a, b in zip(g1[:i], g2[:i])] + list(g1[i:j]) + [0] * (d - j)
+            corner[j] = lo_j
+            _run(entries, corner, i, lo_i, hi_i, sign)
+            corner[j] = hi_j
+            _run(entries, corner, i, lo_i, hi_i, -sign)
+            corner[i] = hi_i
+            _run(entries, corner, j, lo_j, hi_j, sign)
+            corner[i] = lo_i
+            _run(entries, corner, j, lo_j, hi_j, -sign)
+    return EdgeFlow._of(d, entries)
+
+
+def _run(entries: dict, corner: list[int], index: int, lo: int, hi: int, sign: int) -> None:
+    """Add ``sign`` on the edges along axis ``index + 1`` whose coordinate
+    ``index`` lies in [lo, hi), the other coordinates taken from ``corner``."""
+    head, tail = tuple(corner[:index]), tuple(corner[index + 1:])
+    for t in range(lo, hi):
+        _accumulate(entries, Edge(head + (t,) + tail, index + 1), sign)
 
 
 def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> EdgeFlow:
@@ -75,6 +114,16 @@ def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> Edg
     return lookup(g1) + lookup(g2).translate(tuple(g1)) - lookup(vec_add(g1, g2))
 
 
+def _checked_shift(d: int, vec: Vector, flow: EdgeFlow) -> Vector:
+    """``vec`` as a tuple, once it and its shift value ``flow`` have rank d."""
+    vec = tuple(vec)
+    if len(vec) != d:
+        raise RankMismatchError(f"shift vector {vec} does not have rank {d}")
+    if flow.d != d:
+        raise RankMismatchError(f"shift value at {vec} does not have rank {d}")
+    return vec
+
+
 class Cocycle:
     """k times the canonical cocycle plus the coboundary of a cycle assignment; callable.
 
@@ -89,11 +138,7 @@ class Cocycle:
         cleaned: dict[Vector, EdgeFlow] = {}
         origin = (0,) * d
         for vec, flow in shifts.items():
-            vec = tuple(vec)
-            if len(vec) != d:
-                raise RankMismatchError(f"shift vector {vec} does not have rank {d}")
-            if flow.d != d:
-                raise RankMismatchError(f"shift value at {vec} does not have rank {d}")
+            vec = _checked_shift(d, vec, flow)
             if not flow.is_cycle():
                 raise ValueError(f"shift value at {vec} is not a cycle")
             if not flow:
@@ -127,7 +172,7 @@ def PerturbedCocycle(base: Cocycle, shifts: Mapping[Vector, EdgeFlow]) -> Cocycl
     """
     summed = dict(base.shifts)
     for vec, flow in shifts.items():
-        vec = tuple(vec)
+        vec = _checked_shift(base.d, vec, flow)
         summed[vec] = summed[vec] + flow if vec in summed else flow
     return Cocycle(base.d, base.k, summed)
 

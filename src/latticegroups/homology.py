@@ -35,6 +35,12 @@ class Plaquette(_PlaquetteFields):
             raise ValueError(f"bad plaquette axes ({i}, {j}) for rank {len(base)}")
         return super().__new__(cls, base, i, j)
 
+    @classmethod
+    def _of(cls, base: Vector, i: int, j: int) -> "Plaquette":
+        """Trusted constructor for keys that are valid by construction:
+        ``base`` is a tuple and 1 <= i < j <= len(base)."""
+        return tuple.__new__(cls, (base, i, j))
+
     @property
     def d(self) -> int:
         return len(self.base)
@@ -110,19 +116,34 @@ def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:
         raise NotACycleError("flow has nonzero boundary")
     if flow.d != 2:
         return _peel(flow)
+    return PlaquetteSum._of(
+        2,
+        {
+            Plaquette._of((a, row), 1, 2): running
+            for a, low, high, running in _column_runs(flow)
+            for row in range(low, high)
+        },
+    )
+
+
+def _column_runs(flow: EdgeFlow):
+    """The nonzero column prefix sums of a planar cycle, as runs.
+
+    Yields ``(a, low, high, c)``: the plaquettes at (a, b) for low <= b <
+    high all have coefficient c in :func:`decompose_cycle`. Each column's
+    sum is constant between consecutive horizontal edges, so the runs cost
+    the flow's support, not the area they cover.
+    """
     columns: dict[int, list[tuple[int, int]]] = {}
     for ((a, b), axis), coeff in flow.entries():
         if axis == 1:
             columns.setdefault(a, []).append((b, coeff))
-    coeffs: dict[Plaquette, int] = {}
     for a, runs in columns.items():
         running = 0
         for (b, coeff), (b_next, _) in zip(runs, runs[1:]):
             running += coeff
             if running:
-                for row in range(b, b_next):
-                    coeffs[Plaquette((a, row), 1, 2)] = running
-    return PlaquetteSum._of(2, coeffs)
+                yield a, b, b_next, running
 
 
 def _peel(flow: EdgeFlow) -> PlaquetteSum:
@@ -154,7 +175,7 @@ def _peel(flow: EdgeFlow) -> PlaquetteSum:
             (j for j in range(axis + 1, d + 1) if Edge(base, j) in work), None
         )
         assert partner is not None, "cycle support must close at its least vertex"
-        plaquette = Plaquette(base, axis, partner)
+        plaquette = Plaquette._of(base, axis, partner)
         _accumulate(coeffs, plaquette, mult)
         for edge, sign in _boundary_edges(plaquette):
             if edge not in work:

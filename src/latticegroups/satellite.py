@@ -10,10 +10,23 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cocycles import canonical_cocycle
-from .homology import NotACycleError, Plaquette, algebraic_area, decompose_cycle_2d, plaquette_boundary
-from .lattice import EdgeFlow, Vector, vec_add, vec_neg
-from .words import GroupElement, Letter, commutator as element_commutator, parse_letters
+from .cocycles import canonical_cocycle, monomial_flow
+from .homology import (
+    NotACycleError,
+    Plaquette,
+    _boundary_edges,
+    _column_runs,
+    algebraic_area,
+    plaquette_boundary,
+)
+from .lattice import Edge, EdgeFlow, Vector, _accumulate, vec_add, vec_neg
+from .words import (
+    GroupElement,
+    Letter,
+    WordSyntaxError,
+    commutator as element_commutator,
+    parse_letters,
+)
 
 GENERATOR_NAMES = ("x", "y", "z")
 
@@ -78,10 +91,11 @@ class SatelliteElement(GroupElement):
 
     def in_M(self) -> bool:
         """Membership in the normal closure of z^k: every plaquette
-        coefficient of the cycle is a multiple of k."""
+        coefficient of the cycle is a multiple of k. The coefficients are
+        read run by run off the column prefix sums, so the plaquettes are
+        never built."""
         return self.in_N() and all(
-            _in_level_multiples(coeff, self.k)
-            for _, coeff in decompose_cycle_2d(self.cycle).entries()
+            _in_level_multiples(coeff, self.k) for *_, coeff in _column_runs(self.cycle)
         )
 
     def in_commutant(self) -> bool:
@@ -115,14 +129,40 @@ def generator(name: str, k: int) -> SatelliteElement:
 
 
 def from_word(word: str | Iterable[Letter], k: int) -> SatelliteElement:
-    """Fold a word over the alphabet x, y, z into the level-k group."""
+    """Fold a word over the alphabet x, y, z into the level-k group, in one
+    pass along its path.
+
+    Multiplying by x^+-1 or y^+-1 (whose images have zero cycle part) at
+    position v adds the twist ``k c(v, u)`` for the unit step u, and
+    ``c(v, u) = m(v) + T_v m(u) - m(v + u)`` with ``m`` the
+    :func:`~latticegroups.cocycles.monomial_flow`. Summed along the path
+    the m(v) terms telescope to ``m(0) - m(v_end) = -m(v_end)``, and each
+    ``T_v m(u)`` is the unit edge the step walks. Multiplying by z^+-1 at
+    position v adds ``+-T_v`` of the unit plaquette boundary, since
+    ``c(v, 0) = 0``. So for endpoint v the cycle part is
+    ``k (flow(w_xy) - m(v))`` plus ``+-T_p`` of the unit plaquette boundary
+    for each z^+-1 read at position p, where ``w_xy`` is the word with its
+    z letters deleted. Its cost is linear in the word.
+    """
     letters = parse_letters(word, GENERATOR_NAMES) if isinstance(word, str) else word
-    images = {index + 1: generator(name, k) for index, name in enumerate(GENERATOR_NAMES)}
-    result = SatelliteElement.identity(k)
+    position = [0, 0]
+    entries: dict[Edge, int] = {}
     for axis, sign in letters:
-        image = images[axis]
-        result = result * (image if sign > 0 else image.inverse())
-    return result
+        if not 1 <= axis <= 3:
+            raise WordSyntaxError(f"generator index {axis} out of range 1..3")
+        if axis == 3:
+            for edge, edge_sign in _boundary_edges(Plaquette._of(tuple(position), 1, 2)):
+                _accumulate(entries, edge, sign * edge_sign)
+        elif sign > 0:
+            _accumulate(entries, Edge(tuple(position), axis), k)
+            position[axis - 1] += 1
+        else:
+            position[axis - 1] -= 1
+            _accumulate(entries, Edge(tuple(position), axis), -k)
+    end = tuple(position)
+    for edge, coeff in monomial_flow(end)._entries.items():
+        _accumulate(entries, edge, -k * coeff)
+    return SatelliteElement._of(k, end, EdgeFlow._of(2, entries))
 
 
 def z_torsion_order(k: int) -> int | None:

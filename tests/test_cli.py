@@ -280,10 +280,9 @@ def _argv(draw):
     for flag in draw(st.lists(st.sampled_from(sorted(_FLAGS)), unique=True, max_size=5)):
         value = draw(_FLAGS[flag])
         argv += [flag] if value is None else [flag, value]
-    # Plaquette decomposition and the level-k product cost the square of the
-    # exponents, so their words keep one-digit exponents; the rest take three.
-    group = argv[argv.index("--group") + 1] if "--group" in argv else None
-    digits = 1 if verb in ("decompose", "member") or group == "satellite" else 3
+    # Plaquette decomposition costs the square of the exponents, so its words
+    # keep one-digit exponents; the rest take three.
+    digits = 1 if verb == "decompose" else 3
     positional = _VECTOR if verb == "cocycle" else _word(digits)
     argv += [draw(positional) for _ in range(_VERBS[verb])]
     return argv

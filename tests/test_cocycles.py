@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticegroups import (
     CanonicalCocycle,
@@ -42,6 +43,19 @@ def random_shifts(rng, count=3, d=2):
             continue
         shifts[vec] = random_loop_flow(rng, d, 6)
     return shifts
+
+
+def monomial_cocycle(g1, g2):
+    """The canonical cocycle as three monomial flows: the reference for the
+    rectangle form of :func:`canonical_cocycle`."""
+    return monomial_flow(g1) + monomial_flow(g2).translate(g1) - monomial_flow(vec_add(g1, g2))
+
+
+@st.composite
+def _vector_pairs(draw):
+    d = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(-9, 9)] * d)
+    return draw(vector), draw(vector)
 
 
 def ext_mul(table, a, b):
@@ -129,6 +143,19 @@ class TestCanonicalCocycle:
                 - monomial_flow(vec_add(g1, g2))
             )
             assert canonical_cocycle(g1, g2) == defect
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(_vector_pairs())
+    def test_rectangle_form_matches_monomial_reference(self, pair):
+        g1, g2 = pair
+        assert canonical_cocycle(g1, g2) == monomial_cocycle(g1, g2)
+
+    def test_rank_checks(self):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            canonical_cocycle((), ())
+        with pytest.raises(RankMismatchError):
+            canonical_cocycle((1, 2), (1, 2, 3))
 
 
 class _CorruptedCocycle(Cocycle):
@@ -272,6 +299,14 @@ class TestOneCocycleType:
             PerturbedCocycle(base, {(1, 0): EdgeFlow(2, {((0, 0), 1): 1})})
         with pytest.raises(RankMismatchError):
             PerturbedCocycle(base, {(1, 0, 0): self.UNIT})
+
+    def test_wrong_rank_value_at_shifted_vector(self):
+        # The check comes before the sum, which would raise the chain's own text.
+        base = PerturbedCocycle(CanonicalCocycle(2), {(1, 0): self.UNIT})
+        cube_face = plaquette_boundary(Plaquette((0, 0, 0), 1, 2))
+        message = r"shift value at \(1, 0\) does not have rank 2"
+        with pytest.raises(RankMismatchError, match=message):
+            PerturbedCocycle(base, {(1, 0): cube_face})
 
 
 class TestIndex:

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticegroups import (
+    Edge,
     EdgeFlow,
+    Letter,
     MetabelianElement,
     Plaquette,
     PlaquetteSum,
@@ -11,16 +14,65 @@ from latticegroups import (
     algebraic_area,
     canonical_cocycle,
     monomial_flow,
+    parse_letters,
+    parse_word,
     plaquette_boundary,
 )
 from latticegroups.satellite import (
+    GENERATOR_NAMES,
     SatelliteElement,
+    _in_level_multiples,
     element_commutator,
     from_word,
     generator,
     z_torsion_order,
 )
+from latticegroups.homology import _peel
 from helpers import random_letters, random_loop_flow, random_word
+
+UNIT = plaquette_boundary(Plaquette((0, 0), 1, 2))
+
+
+def product_fold(word, k):
+    """The fold as one group product per letter: the reference for
+    :func:`from_word`, which telescopes the twists along the path."""
+    letters = parse_letters(word, GENERATOR_NAMES) if isinstance(word, str) else word
+    images = {index + 1: generator(name, k) for index, name in enumerate(GENERATOR_NAMES)}
+    result = SatelliteElement.identity(k)
+    for axis, sign in letters:
+        image = images[axis]
+        result = result * (image if sign > 0 else image.inverse())
+    return result
+
+
+def in_M_by_plaquettes(elem):
+    """Membership in M read off the materialised plaquette coefficients. The
+    peel finds them without the column runs that ``in_M`` reads."""
+    return elem.in_N() and all(
+        _in_level_multiples(coeff, elem.k) for _, coeff in _peel(elem.cycle).entries()
+    )
+
+
+def square_boundary(n, k=1):
+    """k times the boundary of the n x n square of plaquettes at the origin,
+    built straight from its four sides (n can be large)."""
+    edges = {}
+    for t in range(n):
+        edges[Edge((t, 0), 1)] = k
+        edges[Edge((t, n), 1)] = -k
+        edges[Edge((n, t), 2)] = k
+        edges[Edge((0, t), 2)] = -k
+    return EdgeFlow._of(2, edges)
+
+
+def _syllables(names, exponent):
+    return st.lists(st.tuples(st.sampled_from(names), exponent), max_size=8).map(
+        lambda parts: " ".join(f"{name}^{power}" for name, power in parts)
+    )
+
+
+_LEVELS = st.integers(-4, 4)
+_SATELLITE_WORDS = _syllables(GENERATOR_NAMES, st.integers(-50, 50).filter(bool))
 
 
 def conjugated_z(k, m, n):
@@ -94,6 +146,37 @@ class TestWordEvaluation:
         with pytest.raises(ValueError):
             generator("w", 1)
 
+    def test_letter_outside_alphabet(self):
+        for axis in (0, 4):
+            with pytest.raises(WordSyntaxError):
+                from_word([Letter(axis, 1)], 2)
+
+
+class TestTelescopedFold:
+    @settings(max_examples=80, deadline=None)
+    @given(_SATELLITE_WORDS, _LEVELS)
+    def test_matches_product_fold(self, word, k):
+        assert from_word(word, k) == product_fold(word, k)
+
+    def test_seeded_letters_match_product_fold(self):
+        rng = random.Random(59)
+        for _ in range(60):
+            k = rng.randint(-4, 4)
+            letters = random_letters(rng, 3, rng.randint(0, 40))
+            assert from_word(letters, k) == product_fold(letters, k)
+
+    def test_long_commutator_costs_no_products(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("from_word multiplied")
+
+        monkeypatch.setattr(SatelliteElement, "__mul__", refuse)
+        n, c = 10**5, -7
+        elem = from_word(f"x^{n} y^{n} x^-{n} y^-{n} z^{c}", 3)
+        assert elem.vec == (0, 0)
+        assert elem.cycle == square_boundary(n, 3) + c * UNIT
+        box = PlaquetteSum(2, {Plaquette((a, b), 1, 2): 2 for a in range(3) for b in range(3)})
+        assert square_boundary(3, 2) == box.boundary_flow()
+
 
 class TestMembership:
     def test_z_level_three(self):
@@ -146,6 +229,26 @@ class TestMembership:
                 assert (not elem.in_M()) or elem.in_commutant()
                 assert (not elem.in_commutant()) or elem.in_N()
 
+    @settings(max_examples=60, deadline=None)
+    @given(_LEVELS, st.randoms(use_true_random=False), st.integers(-3, 3))
+    def test_column_runs_match_plaquettes(self, k, rng, extra):
+        # k times a loop plus ``extra`` unit plaquettes lies in M exactly
+        # when k divides ``extra``; a bare loop rarely does.
+        loops = [
+            k * random_loop_flow(rng, 2, 12) + extra * UNIT,
+            random_loop_flow(rng, 2, 12),
+            from_word(random_letters(rng, 3, rng.randint(0, 20)), k).cycle,
+        ]
+        for cycle in loops:
+            elem = SatelliteElement(k, (0, 0), cycle)
+            assert elem.in_M() == in_M_by_plaquettes(elem)
+
+    def test_long_commutator_membership(self):
+        n = 20000
+        word = f"x^{n} y^{n} x^-{n} y^-{n}"
+        assert from_word(word + " z^3", 3).in_M()
+        assert not from_word(word + " z", 3).in_M()
+
     def test_level_one_commutant_is_whole_cycle_group(self):
         rng = random.Random(43)
         for k in (1, -1):
@@ -177,6 +280,21 @@ class TestLevelOneIsMetabelian:
             b = MetabelianElement.from_word(random_word(rng, 2, 10))
             assert transport(a * b) == transport(a) * transport(b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_syllables(GENERATOR_NAMES, st.integers(-400, 400).filter(bool)))
+    def test_whole_words_match_metabelian(self, word):
+        # x -> x1, y -> x2, z -> [x1, x2] maps the level-1 word problem onto
+        # the free metabelian one, through (v, f) -> (v, f - monomial flow of v)
+        images = {"x": "x1", "y": "x2", "z": "x1 x2 x1^-1 x2^-1"}
+        inverses = {"x": "x1^-1", "y": "x2^-1", "z": "x2 x1 x2^-1 x1^-1"}
+        mapped = []
+        for letter in parse_letters(word, GENERATOR_NAMES):
+            name = GENERATOR_NAMES[letter.axis - 1]
+            mapped.append((images if letter.sign > 0 else inverses)[name])
+        meta = MetabelianElement.from_word(parse_word(" ".join(mapped), 2))
+        expected = SatelliteElement(1, meta.endpoint, meta.flow - monomial_flow(meta.endpoint))
+        assert from_word(word, 1) == expected
+
 
 class TestValidation:
     def test_cycle_required(self):
@@ -193,7 +311,7 @@ class TestValidation:
             k = rng.randint(-3, 3)
             a = from_word(random_letters(rng, 3, rng.randint(0, 12)), k)
             b = from_word(random_letters(rng, 3, rng.randint(0, 12)), k)
-            for p in (a * b, b * a, a.inverse(), (a * b).inverse()):
+            for p in (a, b, a * b, b * a, a.inverse(), (a * b).inverse()):
                 assert SatelliteElement(p.k, p.vec, p.cycle) == p
 
     def test_rank_two_required(self):
