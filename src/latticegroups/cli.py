@@ -195,9 +195,11 @@ def _cmd_member(args) -> tuple[str, int]:
     return (_dumps({"member": member}) if args.json else ("true" if member else "false")), 0
 
 
-def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:
-    """Execute one command line; returns (output, error message, exit code)."""
-    parser = _build_parser()
+def _run_line(
+    parser: argparse.ArgumentParser, tokens: list[str]
+) -> tuple[str | None, str | None, int]:
+    """Execute one command line with the batch call's own parser; returns
+    (output, error message, exit code)."""
     try:
         # A bad line is reported as one marker: argparse's usage text, and the
         # help text of -h, go to a throwaway buffer, not into the results.
@@ -214,9 +216,14 @@ def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:
         return None, str(exc), 2
 
 
-def _cmd_batch(args) -> tuple[str, int]:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+def _cmd_batch(parser: argparse.ArgumentParser, args) -> tuple[str | None, int]:
+    # A line ends at "\n" only, not at the other breaks str.splitlines knows
+    # (such as "\f" or U+2028), and one "\r" before it is dropped (CRLF).
+    with open(args.file, "r", encoding="utf-8", newline="") as handle:
+        lines = handle.read().split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text after the last "\n" is a line only if non-empty
+    lines = [line.removesuffix("\r") for line in lines]
     outputs = []
     for line in lines:
         if not line.strip():
@@ -233,9 +240,10 @@ def _cmd_batch(args) -> tuple[str, int]:
                 continue
             flags = ["--group", args.group, "--d", str(args.d), "--k", str(args.k)]
             tokens = ["eq", *flags, *(["--json"] if args.json else []), *tokens]
-        output, error, _code = _run_line(tokens)
+        output, error, _code = _run_line(parser, tokens)
         outputs.append(f"error: {error}" if error is not None else output)
-    return "\n".join(outputs), 0
+    # None, not "": main would print "" as one blank line for no input line.
+    return ("\n".join(outputs) if outputs else None), 0
 
 
 def _add_common(sub, *, d=True, k=False, group=None) -> None:
@@ -320,7 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--eq", action="store_true", help="treat each line as a word pair for eq")
     _add_common(p, k=True, group="metabelian")
-    p.set_defaults(handler=_cmd_batch)
+    # Every line of a batch call reuses the parser that parsed the call, so
+    # each call builds one parser, not one per line.
+    p.set_defaults(handler=lambda args: _cmd_batch(parser, args))
 
     return parser
 

@@ -8,7 +8,6 @@ its algebraic area.
 
 from __future__ import annotations
 
-import heapq
 from typing import NamedTuple
 
 from .lattice import Chain, Edge, EdgeFlow, Vector, _accumulate, basis_vector, vec_add
@@ -158,6 +157,10 @@ def _peel(flow: EdgeFlow) -> PlaquetteSum:
     is the unique decomposition; for d >= 3 it is one valid decomposition.
     The caller checks that ``flow`` is a cycle.
     """
+    # Imported here, not at module level: only d >= 3 decomposition peels,
+    # so no other CLI launch pays for loading it.
+    import heapq
+
     d = flow.d
     work = dict(flow.entries())
     # The least supported edge is the least live heap entry. An entry goes

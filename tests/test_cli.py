@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from latticegroups import MetabelianElement, parse_word
+from latticegroups import MetabelianElement, cli, parse_word
 from latticegroups.cli import REGISTRY, SUBGROUPS, main
 
 HERE = Path(__file__).parent
@@ -225,10 +225,109 @@ def test_batch_missing_file(capsys):
 
 
 def test_batch_empty_file(tmp_path, capsys):
+    # Zero input lines, zero result lines: not one blank line.
     empty = tmp_path / "empty.txt"
     empty.write_text("", encoding="utf-8")
     assert main(["batch", str(empty)]) == 0
-    assert capsys.readouterr().out == "\n"
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["batch", BATCH_COMMANDS], ["batch", "--eq", "--group", "metabelian", "--d", "2", BATCH_PAIRS]],
+    ids=["plain", "eq"],
+)
+def test_batch_builds_one_parser_per_call(argv, monkeypatch, capsys):
+    builds = []
+    build = cli._build_parser
+
+    def counting_build():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("\n") > 1
+    assert len(builds) == 1
+
+
+def _alone(line):
+    """What batch should print for ``line``: the line's stdout when it runs
+    alone through ``main``, its ``error:`` message, or the marker of a line
+    argparse refuses (``-h`` included) or of a nested batch."""
+    tokens = shlex.split(line)
+    if tokens[0] == "batch":
+        return "error: batch cannot be nested"
+    code, out, err = _run_main(tokens)
+    if err.startswith("error: "):
+        return err.removesuffix("\n")
+    if code == 2 or "-h" in tokens:
+        return "error: bad arguments"
+    return out.removesuffix("\n")
+
+
+# Lines that would leak state between batch lines if a reused parser kept
+# any: help, missing required options, per-verb --group defaults read after
+# other groups, store_true and --k defaults after lines that set them, a
+# refused group, a nested batch, and the cocycle negative-number pattern.
+REUSE_LINES = [
+    "eval -h",
+    "-h",
+    'eval --d 2 "x1 x2"',
+    'eval --group abelian --d 2 "x1 x2"',
+    'reduce --d 2 "x1 x1^-1 x2"',
+    'eval --group heisenberg --d 2 --json "x1 x2"',
+    'nf --d 2 "x1 x2 x1^-1"',
+    "nf --group free --d 2 x1",
+    'eval --group metabelian --d 3 "x1 x3"',
+    'nf "x1 x2"',
+    'eq --group satellite --k 2 "x y x^-1 y^-1" z^2',
+    "member --sub N z",
+    "member --sub M --k 3 --json z^3",
+    "member --sub M z^3",
+    "batch lines.txt",
+    "cocycle -1,3 2,0 --json",
+    "cocycle 1,0 0,1",
+    "beta --k 3",
+    "beta",
+    "eval --group free x1 -h",
+    'area --d 2 "x1 x2"',
+    'area --d 2 "x1 x2 x1^-1 x2^-1"',
+]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_batch_line_matches_line_alone(order, tmp_path, capsys):
+    lines = REUSE_LINES[::order]
+    commands = tmp_path / "commands.txt"
+    commands.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["batch", str(commands)]) == 0
+    results = capsys.readouterr().out.split("\n")
+    assert results.pop() == ""
+    assert results == [_alone(line) for line in lines]
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["reduce x1\freduce x2", 'eval --group free "x1\u2028x2"', "reduce\x85x1", "reduce x1\u2029x2\vx1"],
+    ids=["formfeed", "line-separator", "next-line", "paragraph-separator"],
+)
+def test_batch_splits_lines_only_at_newline(line, tmp_path, capsys):
+    commands = tmp_path / "commands.txt"
+    commands.write_text(f"{line}\nreduce x1\n", encoding="utf-8")
+    assert main(["batch", str(commands)]) == 0
+    assert capsys.readouterr().out == f"{_alone(line)}\nx1\n"
+
+
+def test_batch_reads_crlf_lines(tmp_path, capsys):
+    # shlex reads a stray "\r" as a space, except after a backslash, so the
+    # last line shows whether the "\r" before each "\n" is dropped.
+    lines = ['reduce "x1 x1^-1 x2"', "", "cocycle -1,3 2,0 --json", "reduce x1\\"]
+    commands = tmp_path / "commands.txt"
+    commands.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    assert main(["batch", str(commands)]) == 0
+    golden = (GOLDEN / "cocycle_negative.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == "x2\n\n" + golden + "error: No escaped character\n"
 
 
 def test_nf_rejects_other_groups(capsys):
@@ -239,7 +338,9 @@ def test_nf_rejects_other_groups(capsys):
 
 _NAMES = ("x1", "x2", "x3", "x4", "x", "y", "z")
 _NUMBERS = ("-3", "-1", "0", "1", "2", "3", "4", "1000000000", "-99999999999", str(10**30))
-_NOISE = st.text(alphabet="xyz^0123456789-. '\"", max_size=14)
+# The alphabet holds the breaks other than "\n" that str.splitlines knows,
+# which batch reads as ordinary characters inside a line.
+_NOISE = st.text(alphabet="xyz^0123456789-. '\"\v\f\x1c\x1d\x1e\x85\u2028\u2029", max_size=14)
 
 
 def _word(digits):
@@ -317,16 +418,18 @@ def test_fuzz_argv_keeps_contract(argv):
 def _batch_file(draw):
     lines = draw(
         st.lists(
-            st.one_of(
-                _argv().map(shlex.join),
-                _NOISE,
-                st.sampled_from(("", "eval -h", "batch lines.txt", "-h")),
+            st.tuples(
+                st.one_of(
+                    _argv().map(shlex.join),
+                    _NOISE,
+                    st.sampled_from(("", "eval -h", "batch lines.txt", "-h")),
+                ),
+                st.sampled_from(("\n", "\r\n")),
             ),
-            min_size=1,
             max_size=6,
         )
     )
-    return "\n".join(lines) + "\n", lines
+    return "".join(line + end for line, end in lines), [line for line, _ in lines]
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
