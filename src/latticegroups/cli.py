@@ -12,7 +12,6 @@ import argparse
 import io
 import json
 import re
-import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -216,6 +215,56 @@ def _run_line(
         return None, str(exc), 2
 
 
+# One piece of a batch line as shlex.split reads it (POSIX mode, no comments):
+# a run of plain characters, a '...' string, a "..." string, a backslash
+# escape, or a run of the blanks that separate arguments. The patterns are
+# compiled on first use (re caches them), so only batch calls pay for it.
+_PIECE = r"""
+    (?P<plain>[^ \t\r\n'"\\]+)
+  | '(?P<single>[^']*)'
+  | "(?P<double>[^"\\]*(?:\\.[^"\\]*)*)"
+  | \\(?P<escaped>.)
+  | (?P<blank>[ \t\r\n]+)
+"""
+_OPEN_DOUBLE = r'"[^"\\]*(?:\\.[^"\\]*)*'
+# Inside "...", a backslash escapes only '"' and itself; before any other
+# character it stays.
+_DOUBLE_ESCAPE = r'\\(["\\])'
+
+
+def _split_line(line: str) -> list[str]:
+    """The arguments of a batch line, exactly as ``shlex.split(line)`` gives
+    them, in time linear in the line: shlex grows each argument by one
+    character at a time, which is quadratic in the argument's length."""
+    piece = re.compile(_PIECE, re.DOTALL | re.VERBOSE)
+    tokens: list[str] = []
+    pieces = None  # the argument being read, if any
+    pos = 0
+    while pos < len(line):
+        match = piece.match(line, pos)
+        if match is None:
+            # An unclosed quote, or a backslash that ends the line, also
+            # inside "...".
+            if line[pos] == '"':
+                pos = re.compile(_OPEN_DOUBLE, re.DOTALL).match(line, pos).end()
+            if line[pos:] == "\\":
+                raise ValueError("No escaped character")
+            raise ValueError("No closing quotation")
+        kind, pos = match.lastgroup, match.end()
+        if kind == "blank":
+            if pieces is not None:
+                tokens.append("".join(pieces))
+                pieces = None
+            continue
+        text = match.group(kind)
+        if pieces is None:
+            pieces = []
+        pieces.append(re.sub(_DOUBLE_ESCAPE, r"\1", text) if kind == "double" else text)
+    if pieces is not None:
+        tokens.append("".join(pieces))
+    return tokens
+
+
 def _cmd_batch(parser: argparse.ArgumentParser, args) -> tuple[str | None, int]:
     # A line ends at "\n" only, not at the other breaks str.splitlines knows
     # (such as "\f" or U+2028), and one "\r" before it is dropped (CRLF).
@@ -230,7 +279,7 @@ def _cmd_batch(parser: argparse.ArgumentParser, args) -> tuple[str | None, int]:
             outputs.append("")
             continue
         try:
-            tokens = shlex.split(line)
+            tokens = _split_line(line)
         except ValueError as exc:
             outputs.append(f"error: {exc}")
             continue

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import words
 from .lattice import Chain, Edge, EdgeFlow, Vector, _accumulate, basis_vector, vec_add
-from .words import RankMismatchError
+from .words import InputTooLargeError, RankMismatchError
 
 
 class NotACycleError(ValueError):
@@ -110,19 +111,30 @@ def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:
     Each column's sum is the net flux across a vertical line, which is zero
     for a cycle, so the prefix sums vanish below and above the support. For
     d >= 3 a greedy peel (:func:`_peel`) gives one valid decomposition.
+
+    The output is area-sized, not text-sized, so a decomposition with more
+    than MAX_LETTERS nonzero plaquettes is refused with InputTooLargeError.
+    In d = 2 the runs are counted before any plaquette is built.
     """
     if not flow.is_cycle():
         raise NotACycleError("flow has nonzero boundary")
     if flow.d != 2:
         return _peel(flow)
+    runs = list(_column_runs(flow))
+    if sum(high - low for _, low, high, _ in runs) > words.MAX_LETTERS:
+        raise _too_many_plaquettes()
     return PlaquetteSum._of(
         2,
         {
             Plaquette._of((a, row), 1, 2): running
-            for a, low, high, running in _column_runs(flow)
+            for a, low, high, running in runs
             for row in range(low, high)
         },
     )
+
+
+def _too_many_plaquettes() -> InputTooLargeError:
+    return InputTooLargeError(f"decomposition has more than {words.MAX_LETTERS} plaquettes")
 
 
 def _column_runs(flow: EdgeFlow):
@@ -156,12 +168,17 @@ def _peel(flow: EdgeFlow) -> PlaquetteSum:
     terminates. For d = 2 the choice of plaquette is forced and the result
     is the unique decomposition; for d >= 3 it is one valid decomposition.
     The caller checks that ``flow`` is a cycle.
+
+    Each least edge is peeled once, so each plaquette is added once and the
+    count of nonzero ones only grows: the peel stops as soon as it passes
+    MAX_LETTERS.
     """
     # Imported here, not at module level: only d >= 3 decomposition peels,
     # so no other CLI launch pays for loading it.
     import heapq
 
     d = flow.d
+    limit = words.MAX_LETTERS
     work = dict(flow.entries())
     # The least supported edge is the least live heap entry. An entry goes
     # stale when its edge cancels out of ``work``; it is skipped when popped.
@@ -180,6 +197,8 @@ def _peel(flow: EdgeFlow) -> PlaquetteSum:
         assert partner is not None, "cycle support must close at its least vertex"
         plaquette = Plaquette._of(base, axis, partner)
         _accumulate(coeffs, plaquette, mult)
+        if len(coeffs) > limit:
+            raise _too_many_plaquettes()
         for edge, sign in _boundary_edges(plaquette):
             if edge not in work:
                 heapq.heappush(heap, edge)

@@ -18,7 +18,7 @@ Vector = tuple[int, ...]
 def vec_add(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise RankMismatchError(f"vector ranks differ: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_neg(u: Vector) -> Vector:

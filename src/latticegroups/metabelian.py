@@ -176,17 +176,20 @@ def fox_image(word: Word) -> FoxImage:
     zero = (0,) * d
     diagonal: Polynomial = {zero: 1}
     derivatives: list[Polynomial] = [dict() for _ in range(d)]
-    for axis, sign in word.letters:
+    # letter -> (diagonal entry, corner entry, derivative it adds into), built
+    # once per call for the letters in use: all 2d of them would cost d^2.
+    matrices = {}
+    for axis, sign in set(word.letters):
         step = basis_vector(d, axis)
         if sign > 0:
-            letter_diag = {step: 1}
-            letter_deriv = {zero: 1}
+            matrices[axis, sign] = ({step: 1}, {zero: 1}, derivatives[axis - 1])
         else:
             down = vec_neg(step)
-            letter_diag = {down: 1}
-            letter_deriv = {down: -1}
+            matrices[axis, sign] = ({down: 1}, {down: -1}, derivatives[axis - 1])
+    for letter in word.letters:
+        letter_diag, letter_deriv, target = matrices[letter]
         for key, coeff in _poly_mul(diagonal, letter_deriv).items():
-            _accumulate(derivatives[axis - 1], key, coeff)
+            _accumulate(target, key, coeff)
         diagonal = _poly_mul(diagonal, letter_diag)
     ((monomial, unit),) = diagonal.items()
     assert unit == 1

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class WordSyntaxError(ValueError):
@@ -40,11 +41,13 @@ def free_reduce(letters: Iterable[Letter | tuple[int, int]]) -> tuple[Letter, ..
     including nested ones, and yields the unique reduced form.
     """
     stack: list[Letter] = []
-    for axis, sign in letters:
-        if stack and stack[-1].axis == axis and stack[-1].sign == -sign:
+    for letter in letters:
+        axis, sign = letter
+        # A Letter equals the plain tuple of its fields.
+        if stack and stack[-1] == (axis, -sign):
             stack.pop()
         else:
-            stack.append(Letter(axis, sign))
+            stack.append(letter if type(letter) is Letter else Letter(axis, sign))
     return tuple(stack)
 
 
@@ -99,6 +102,16 @@ class Word(GroupElement):
         self.d = d
 
     @classmethod
+    def _of(cls, letters: tuple[Letter, ...], d: int) -> "Word":
+        """Trusted constructor for results that are valid by construction:
+        ``letters`` is a freely reduced tuple of Letters on axes 1..d, and
+        ``d`` is positive."""
+        word = object.__new__(cls)
+        word.letters = letters
+        word.d = d
+        return word
+
+    @classmethod
     def identity(cls, d: int) -> "Word":
         return cls((), d)
 
@@ -110,7 +123,7 @@ class Word(GroupElement):
             return NotImplemented
         if self.d != other.d:
             raise RankMismatchError(f"cannot concatenate ranks {self.d} and {other.d}")
-        return Word(self.letters + other.letters, self.d)
+        return Word._of(free_reduce(self.letters + other.letters), self.d)
 
     def __invert__(self) -> "Word":
         return Word(tuple(letter.inverse() for letter in reversed(self.letters)), self.d)
@@ -139,25 +152,13 @@ class Word(GroupElement):
 
     def __str__(self) -> str:
         parts = []
-        index = 0
-        while index < len(self.letters):
-            axis, sign = self.letters[index]
-            run = index
-            while run < len(self.letters) and self.letters[run] == (axis, sign):
-                run += 1
-            count = run - index
-            exponent = sign * count
+        for (axis, sign), run in groupby(self.letters):
+            exponent = sign * len(list(run))
             parts.append(f"x{axis}" if exponent == 1 else f"x{axis}^{exponent}")
-            index = run
         return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r}, d={self.d})"
-
-
-def _tokens(text: str) -> list[str]:
-    # '.' counts as token separator alongside whitespace.
-    return text.replace(".", " ").split()
 
 
 def _split_exponent(token: str) -> tuple[str, int]:
@@ -177,6 +178,34 @@ def _check_length(expanded: int, exponent: int) -> None:
         raise InputTooLargeError(f"word expands to more than {MAX_LETTERS} letters")
 
 
+def _expand(text: str, axis_of: Callable[[str, str], int]) -> list[Letter]:
+    """Expand word text into its letters, before any reduction.
+
+    Tokens are separated by whitespace or ``.``. The first copy of each
+    distinct token text is checked in grammar order: exponent syntax, zero
+    exponent, the expanded length, then ``axis_of(name, token)``, which
+    returns the axis or raises. The result is kept in a table that lives for
+    this call only, so a later copy pays only the length check.
+    """
+    letters: list[Letter] = []
+    table: dict[str, tuple[Letter, int]] = {}
+    for token in text.replace(".", " ").split():
+        entry = table.get(token)
+        if entry is None:
+            name, exponent = _split_exponent(token)
+            _check_length(len(letters), exponent)
+            letter = Letter(axis_of(name, token), 1 if exponent > 0 else -1)
+            entry = table[token] = (letter, abs(exponent))
+        else:
+            _check_length(len(letters), entry[1])
+        letter, count = entry
+        if count == 1:
+            letters.append(letter)
+        else:
+            letters.extend([letter] * count)
+    return letters
+
+
 _GENERATOR_RE = re.compile(r"x([1-9]\d*)")
 
 
@@ -187,19 +216,21 @@ def parse_word(text: str, d: int) -> Word:
     optional ``^<nonzero integer>`` exponent that is expanded eagerly. A word
     that would expand to more than MAX_LETTERS letters is refused.
     """
-    letters: list[Letter] = []
-    for token in _tokens(text):
-        name, exponent = _split_exponent(token)
-        _check_length(len(letters), exponent)
+
+    def axis_of(name: str, token: str) -> int:
         match = _GENERATOR_RE.fullmatch(name)
         if match is None:
             raise WordSyntaxError(f"bad token {token!r}")
         axis = int(match.group(1))
         if axis > d:
             raise WordSyntaxError(f"generator index {axis} out of range 1..{d}")
-        sign = 1 if exponent > 0 else -1
-        letters.extend(Letter(axis, sign) for _ in range(abs(exponent)))
-    return Word(letters, d)
+        return axis
+
+    letters = _expand(text, axis_of)
+    # Every token has passed its range check, so only empty text gets here with d < 1.
+    if d < 1:
+        raise ValueError(f"rank must be positive, got {d}")
+    return Word._of(free_reduce(letters), d)
 
 
 def parse_letters(text: str, alphabet: Sequence[str]) -> tuple[Letter, ...]:
@@ -209,13 +240,11 @@ def parse_letters(text: str, alphabet: Sequence[str]) -> tuple[Letter, ...]:
     ``alphabet``. Exponent syntax matches :func:`parse_word`.
     """
     positions = {name: index + 1 for index, name in enumerate(alphabet)}
-    letters: list[Letter] = []
-    for token in _tokens(text):
-        name, exponent = _split_exponent(token)
-        _check_length(len(letters), exponent)
+
+    def axis_of(name: str, token: str) -> int:
         axis = positions.get(name)
         if axis is None:
             raise WordSyntaxError(f"unknown generator {name!r}; expected one of {tuple(alphabet)}")
-        sign = 1 if exponent > 0 else -1
-        letters.extend(Letter(axis, sign) for _ in range(abs(exponent)))
-    return tuple(letters)
+        return axis
+
+    return tuple(_expand(text, axis_of))

@@ -145,6 +145,8 @@ HUGE = {
     "heisenberg-rank": ["eval", "--group", "heisenberg", "--d", "200000", "x1^5000"],
     "eq-rank": ["eq", "--group", "metabelian", "--d", "1000000000", "x1", "x1"],
     "decompose-rank": ["decompose", "--d", "1000000000", ""],
+    # 4002 letters whose loop bounds 1000 * 1001 plaquettes.
+    "decompose-plaquettes": ["decompose", "--d", "2", "x1^1000 x2^1001 x1^-1000 x2^-1001"],
     "area-rank": ["area", "--d", "200000", "x1^5000"],
     "fox-rank": ["fox", "--d", "1000000000", "x1"],
 }
@@ -330,6 +332,35 @@ def test_batch_reads_crlf_lines(tmp_path, capsys):
     assert capsys.readouterr().out == "x2\n\n" + golden + "error: No escaped character\n"
 
 
+def _split_outcome(split, line):
+    try:
+        return split(line)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+# Quotes, escapes, the four blanks shlex splits at, and breaks it does not.
+_LINE_PIECES = st.sampled_from(
+    (" ", "  ", "\t", "\r", "\n", "'", '"', "\\", "\\\\", "\\\"", "x1", "x1 x2^-1", "-h", "#", "$",
+     "\f", "\v", "\u2028", "\x85", "\u00e9", "''", '""')
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_LINE_PIECES, max_size=12).map("".join))
+@example('"a\\\nb\\')
+@example("reduce x1\\")
+def test_split_line_matches_shlex(line):
+    assert _split_outcome(cli._split_line, line) == _split_outcome(shlex.split, line)
+
+
+def test_split_line_reads_a_long_argument():
+    # shlex grows an argument one character at a time, so an argument of
+    # 2 * 10^6 characters took minutes there.
+    word = "x1 x2^-1 " * 250_000
+    assert cli._split_line(f'eq "{word}" \'{word}\'') == ["eq", word, word]
+
+
 def test_nf_rejects_other_groups(capsys):
     assert main(["nf", "--group", "free", "--d", "2", "x1"]) == 2
 
@@ -381,9 +412,10 @@ def _argv(draw):
     for flag in draw(st.lists(st.sampled_from(sorted(_FLAGS)), unique=True, max_size=5)):
         value = draw(_FLAGS[flag])
         argv += [flag] if value is None else [flag, value]
-    # Plaquette decomposition costs the square of the exponents, so its words
-    # keep one-digit exponents; the rest take three.
-    digits = 1 if verb == "decompose" else 3
+    # Plaquette decomposition costs the square of the exponents (up to
+    # MAX_LETTERS plaquettes), so its words keep two-digit exponents; the rest
+    # take three.
+    digits = 2 if verb == "decompose" else 3
     positional = _VECTOR if verb == "cocycle" else _word(digits)
     argv += [draw(positional) for _ in range(_VERBS[verb])]
     return argv

@@ -6,6 +6,7 @@ from latticegroups import (
     Edge,
     EdgeFlow,
     HeisenbergElement,
+    InputTooLargeError,
     NotACycleError,
     Plaquette,
     PlaquetteSum,
@@ -18,6 +19,7 @@ from latticegroups import (
     plaquette_sum_from_json,
     project_flow,
 )
+from latticegroups import words
 from latticegroups.homology import _peel
 from latticegroups.lattice import _accumulate
 from helpers import flow_of, random_loop_flow, random_loop_word, random_word, shuffled_copy, w
@@ -231,6 +233,38 @@ class TestGeneralDecompose:
             - 2 * plaquette_boundary(Plaquette((1, 0, -1), 2, 3))
         )
         assert decompose_cycle(combo).boundary_flow() == combo
+
+
+class TestPlaquetteLimit:
+    """A decomposition with more than MAX_LETTERS nonzero plaquettes is refused."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_at_and_over_the_limit(self, d, monkeypatch):
+        # A 3 x 4 rectangle is exactly 12 plaquettes; 3 x 5 is one row more.
+        at = flow_of("x1^3 x2^4 x1^-3 x2^-4", d=d)
+        over = flow_of("x1^3 x2^5 x1^-3 x2^-5", d=d)
+        monkeypatch.setattr(words, "MAX_LETTERS", 12)
+        assert len(decompose_cycle(at)) == 12
+        with pytest.raises(InputTooLargeError, match="more than 12 plaquettes"):
+            decompose_cycle(over)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_counts_nonzero_plaquettes_not_area(self, d, monkeypatch):
+        # Two 2 x 2 squares of opposite orientation that touch at a corner:
+        # 8 nonzero plaquettes, net area 0, bounding box 4 x 4.
+        flow = flow_of("x1^2 x2^2 x1^-2 x2^-2 x1^4 x2^-2 x1^-2 x2^2 x1^-2", d=d)
+        monkeypatch.setattr(words, "MAX_LETTERS", 8)
+        assert len(decompose_cycle(flow)) == 8
+        monkeypatch.setattr(words, "MAX_LETTERS", 7)
+        with pytest.raises(InputTooLargeError):
+            decompose_cycle(flow)
+
+    def test_planar_count_comes_before_any_plaquette(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(Plaquette, "_of", classmethod(lambda cls, *key: built.append(key)))
+        with pytest.raises(InputTooLargeError):
+            decompose_cycle(flow_of("x1^1000 x2^1001 x1^-1000 x2^-1001"))
+        assert built == []
 
 
 class TestProjection:

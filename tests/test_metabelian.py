@@ -18,7 +18,7 @@ from latticegroups import (
     plaquette_element,
     word_problem,
 )
-from helpers import random_loop_word, random_word, w
+from helpers import random_letters, random_loop_word, random_word, w
 
 
 def flow_slice(flow, axis):
@@ -219,6 +219,13 @@ class TestFoxOracle:
         for _ in range(120):
             d = rng.choice((2, 3))
             assert fox_matches_flow(random_word(rng, d, 25))
+
+    def test_matches_flow_slices_at_scale(self):
+        # Seeded d = 3 words of 2*10^4 letters, the size of a long CLI word.
+        rng = random.Random(109)
+        for _ in range(3):
+            word = Word(random_letters(rng, 3, 20_000), 3)
+            assert fox_matches_flow(word)
 
     def test_equality_verdicts_agree(self):
         rng = random.Random(107)

@@ -12,7 +12,7 @@ from latticegroups import (
     project_flow,
     word_is_trivial,
 )
-from helpers import random_loop_word, random_word, w
+from helpers import random_letters, random_loop_word, random_word, w
 
 
 class TestEvaluate:
@@ -112,6 +112,21 @@ class TestAreaCrossCheck:
             for i in range(1, d):
                 for j in range(i + 1, d + 1):
                     assert elem.area(i, j) == algebraic_area(project_flow(flow, i, j))
+
+    def test_long_closed_word_areas_match_projections(self):
+        # Seeded closed d = 3 words of 2*10^4 letters: 10^4 random steps,
+        # then their inverses in a shuffled order.
+        rng = random.Random(31)
+        for _ in range(3):
+            out = random_letters(rng, 3, 10_000)
+            back = [letter.inverse() for letter in out]
+            rng.shuffle(back)
+            loop = Word(out + back, 3)
+            elem = HeisenbergElement.from_word(loop)
+            flow = evaluate_path(loop).flow
+            assert flow and flow.is_cycle()
+            for i, j in ((1, 2), (1, 3), (2, 3)):
+                assert elem.area(i, j) == algebraic_area(project_flow(flow, i, j))
 
 
 def test_json_shape():

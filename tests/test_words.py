@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latticegroups import (
     HeisenbergElement,
@@ -151,6 +152,143 @@ def test_parse_letters_named_alphabet():
     assert letters == (Letter(1, 1), Letter(2, -1), Letter(2, -1), Letter(3, 1))
     with pytest.raises(WordSyntaxError):
         parse_letters("w", ("x", "y", "z"))
+
+
+# --- the parsers as first written: the reference for the token table ---------
+
+
+def _reference_tokens(text):
+    return text.replace(".", " ").split()
+
+
+def _reference_split_exponent(token):
+    name, caret, tail = token.partition("^")
+    if not caret:
+        return token, 1
+    if not re.fullmatch(r"[+-]?\d+", tail):
+        raise WordSyntaxError(f"bad exponent in token {token!r}")
+    exponent = int(tail)
+    if exponent == 0:
+        raise WordSyntaxError(f"zero exponent in token {token!r}")
+    return name, exponent
+
+
+def _reference_check_length(expanded, exponent):
+    if expanded + abs(exponent) > words.MAX_LETTERS:
+        raise InputTooLargeError(f"word expands to more than {words.MAX_LETTERS} letters")
+
+
+def reference_parse_word(text, d):
+    """Expand every token afresh, then reduce through the public Word."""
+    letters = []
+    for token in _reference_tokens(text):
+        name, exponent = _reference_split_exponent(token)
+        _reference_check_length(len(letters), exponent)
+        match = re.fullmatch(r"x([1-9]\d*)", name)
+        if match is None:
+            raise WordSyntaxError(f"bad token {token!r}")
+        axis = int(match.group(1))
+        if axis > d:
+            raise WordSyntaxError(f"generator index {axis} out of range 1..{d}")
+        sign = 1 if exponent > 0 else -1
+        letters.extend(Letter(axis, sign) for _ in range(abs(exponent)))
+    return Word(letters, d)
+
+
+def reference_parse_letters(text, alphabet):
+    positions = {name: index + 1 for index, name in enumerate(alphabet)}
+    letters = []
+    for token in _reference_tokens(text):
+        name, exponent = _reference_split_exponent(token)
+        _reference_check_length(len(letters), exponent)
+        axis = positions.get(name)
+        if axis is None:
+            raise WordSyntaxError(f"unknown generator {name!r}; expected one of {tuple(alphabet)}")
+        sign = 1 if exponent > 0 else -1
+        letters.extend(Letter(axis, sign) for _ in range(abs(exponent)))
+    return tuple(letters)
+
+
+def _outcome(parse, *args):
+    """The parser's result, or the type and message of what it raised."""
+    try:
+        return "ok", parse(*args)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+_EXPONENTS = (
+    "", "", "", "^2", "^-1", "^-3", "^+2", "^+1", "^-0", "^0", "^+0", "^\u0663", "^-\u0663",
+    "^12", "^a", "^", "^1^2", "^--1", "^ 2", "^99999999999",
+)
+# Unicode spaces and the separators str.split() reads beside '.'.
+_SEPARATORS = (" ", " ", ".", " . ", "..", "\t", "\n", "\u3000", "\u2003", "\x1c", "\x85")
+
+
+def _token_text(names):
+    """Word text drawn from a small pool of tokens, so most tokens repeat."""
+    token = st.tuples(st.sampled_from(names), st.sampled_from(_EXPONENTS)).map("".join)
+    return st.lists(token, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(
+            st.tuples(st.sampled_from(pool), st.sampled_from(_SEPARATORS)), max_size=30
+        )
+    ).map(lambda parts: "".join(token + sep for token, sep in parts))
+
+
+_LIMITS = st.sampled_from((10**6, 0, 1, 3, 8, 20))
+_INDEXED = ("x1", "x2", "x3", "x4", "x5", "x1", "x2", "x", "y1", "x01", "x0", "x1\u0663", "X1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_text(_INDEXED), st.integers(-1, 4), _LIMITS)
+@example("x1", 0, 10**6)
+@example("", 0, 10**6)
+@example("x1^2 x1^2 x1^2", 2, 5)
+def test_parse_word_matches_reference(text, d, limit):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "MAX_LETTERS", limit)
+        assert _outcome(parse_word, text, d) == _outcome(reference_parse_word, text, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_text(("x", "y", "z", "x", "y", "w", "xy", "x1", "")), _LIMITS)
+@example("x^2 y^-2 x x", 5)
+def test_parse_letters_matches_reference(text, limit):
+    alphabet = ("x", "y", "z")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "MAX_LETTERS", limit)
+        assert _outcome(parse_letters, text, alphabet) == _outcome(
+            reference_parse_letters, text, alphabet
+        )
+
+
+def test_rank_messages_at_nonpositive_rank():
+    for d in (0, -1):
+        with pytest.raises(WordSyntaxError, match=f"generator index 1 out of range 1..{d}"):
+            parse_word("x1", d)
+        with pytest.raises(ValueError, match=f"rank must be positive, got {d}"):
+            parse_word(" . ", d)
+
+
+def test_public_word_keeps_its_checks():
+    with pytest.raises(WordSyntaxError, match="generator index 3 out of range 1..2"):
+        Word([(3, 1)], 2)
+    with pytest.raises(ValueError, match="letter sign must be"):
+        Word([(1, 2)], 2)
+    with pytest.raises(ValueError, match="rank must be positive"):
+        Word((), 0)
+
+
+def test_free_reduce_returns_letters():
+    reduced = free_reduce([(1, 1), Letter(2, -1), (3, 1), (3, -1)])
+    assert reduced == (Letter(1, 1), Letter(2, -1))
+    assert all(type(letter) is Letter for letter in reduced)
+
+
+def test_str_groups_runs():
+    word = parse_word("x1^3 x2^-2 x1 x3 x3 x2^-1", 3)
+    assert str(word) == "x1^3 x2^-2 x1 x3^2 x2^-1"
+    assert str(Word.identity(2)) == ""
 
 
 class TestLetterLimit:
