@@ -29,13 +29,20 @@ _ERRORS = (WordSyntaxError, RankMismatchError, NotACycleError, ValueError, OSErr
 
 
 def _dumps(obj) -> str:
+    """Canonical JSON text of a small fixed document; the large answers
+    write their own through ``as_json``."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
+    parts = [part.strip() for part in text.split(",")]
     try:
-        vec = tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
+        # Each part follows the exponent grammar of words: int() alone would
+        # also read Python literal syntax such as 1_0.
+        if not all(re.fullmatch(r"[+-]?\d+", part) for part in parts):
+            raise ValueError
+        vec = tuple(map(int, parts))
+    except ValueError:  # also a part with more digits than int() reads
         raise ValueError(f"bad vector {text!r}; expected comma-separated integers") from None
     # The L1 norm is the length of the vector's monomial path.
     if sum(map(abs, vec)) > MAX_LETTERS:
@@ -76,19 +83,19 @@ def _fmt_areas(elem) -> str:
 
 
 # group -> (evaluate(text, args), human(value), json(value)). eval prints one
-# evaluated value; eq compares two with ==. The lambdas look names up at call
-# time, so a function rebound on its module (as perfbench's tracer does) is
-# the one they call.
+# evaluated value, as human text or as its JSON text; eq compares two with
+# ==. The lambdas look names up at call time, so a function rebound on its
+# module (as perfbench's tracer does) is the one they call.
 REGISTRY = {
     "free": (
         lambda text, args: parse_word(text, args.d),
         str,
-        lambda word: {"word": str(word)},
+        lambda word: _dumps({"word": str(word)}),
     ),
     "abelian": (
         lambda text, args: evaluate_path(_parse_folded(text, args)).endpoint,
         _fmt_vec,
-        lambda endpoint: {"endpoint": list(endpoint)},
+        lambda endpoint: _dumps({"endpoint": list(endpoint)}),
     ),
     "heisenberg": (
         lambda text, args: HeisenbergElement.from_word(_parse_folded(text, args)),
@@ -111,7 +118,7 @@ REGISTRY = {
 def _cmd_eval(args) -> tuple[str, int]:
     evaluate, human, as_json = REGISTRY[args.group]
     value = evaluate(args.word, args)
-    return (_dumps(as_json(value)) if args.json else human(value)), 0
+    return (as_json(value) if args.json else human(value)), 0
 
 
 def _cmd_eq(args) -> tuple[str, int]:
@@ -124,7 +131,7 @@ def _cmd_eq(args) -> tuple[str, int]:
 def _cmd_decompose(args) -> tuple[str, int]:
     flow = evaluate_path(_parse_folded(args.word, args)).flow
     ps = decompose_cycle(flow)
-    return (_dumps(ps.as_json()) if args.json else _fmt_plaquettes(ps)), 0
+    return (ps.as_json() if args.json else _fmt_plaquettes(ps)), 0
 
 
 def _cmd_area(args) -> tuple[str, int]:
@@ -137,7 +144,7 @@ def _cmd_cocycle(args) -> tuple[str, int]:
     g1 = _parse_vector(args.g1)
     g2 = _parse_vector(args.g2)
     flow = canonical_cocycle(g1, g2)
-    return (_dumps(flow.as_json()) if args.json else _fmt_flow(flow)), 0
+    return (flow.as_json() if args.json else _fmt_flow(flow)), 0
 
 
 def _int_list(value) -> bool:
@@ -178,7 +185,7 @@ def _cmd_beta(args) -> tuple[str, int]:
 def _cmd_fox(args) -> tuple[str, int]:
     image = fox_image(_parse_folded(args.word, args))
     if args.json:
-        return _dumps(image.as_json()), 0
+        return image.as_json(), 0
     derivs = "; ".join(
         f"d{axis + 1}=[" + ", ".join(
             f"{_fmt_vec(point)}:{coeff:+d}" for point, coeff in sorted(component.items())

@@ -11,7 +11,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import words
-from .lattice import Chain, Edge, EdgeFlow, Vector, _accumulate, basis_vector, vec_add
+from .lattice import (
+    Chain,
+    Edge,
+    EdgeFlow,
+    Vector,
+    _accumulate,
+    _json_ints_template,
+    basis_vector,
+    vec_add,
+)
 from .words import InputTooLargeError, RankMismatchError
 
 
@@ -95,11 +104,12 @@ class PlaquetteSum(Chain):
                 _accumulate(entries, edge, sign * coeff)
         return EdgeFlow._of(self.d, entries)
 
-    def as_json(self) -> list[dict]:
-        return [
-            {"base": list(p.base), "i": p.i, "j": p.j, "mult": coeff}
-            for p, coeff in self.entries()
-        ]
+    def as_json(self) -> str:
+        """The canonical JSON text of the sorted entries:
+        ``[{"base":[...],"i":i,"j":j,"mult":m},...]``."""
+        row = '{"base":' + _json_ints_template(self.d) + ',"i":%d,"j":%d,"mult":%d}'
+        rows = [row % (*base, i, j, coeff) for (base, i, j), coeff in self.entries()]
+        return "[" + ",".join(rows) + "]"
 
 
 def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:
@@ -179,7 +189,7 @@ def _peel(flow: EdgeFlow) -> PlaquetteSum:
 
     d = flow.d
     limit = words.MAX_LETTERS
-    work = dict(flow.entries())
+    work = dict(flow._entries)
     # The least supported edge is the least live heap entry. An entry goes
     # stale when its edge cancels out of ``work``; it is skipped when popped.
     heap = list(work)
@@ -222,7 +232,7 @@ def algebraic_area(flow: EdgeFlow) -> int:
     _check_planar(flow)
     if not flow.is_cycle():
         raise NotACycleError("flow has nonzero boundary")
-    return -sum(base[1] * coeff for (base, axis), coeff in flow.entries() if axis == 1)
+    return -sum(base[1] * coeff for (base, axis), coeff in flow._entries.items() if axis == 1)
 
 
 def _check_planar(flow: EdgeFlow) -> None:
@@ -268,7 +278,7 @@ def project_flow(flow: EdgeFlow, i: int, j: int) -> EdgeFlow:
     if not 1 <= i < j <= flow.d:
         raise ValueError(f"axes must satisfy 1 <= i < j <= {flow.d}, got ({i}, {j})")
     pairs = []
-    for (base, axis), coeff in flow.entries():
+    for (base, axis), coeff in flow._entries.items():
         if axis == i:
             pairs.append((Edge((base[i - 1], base[j - 1]), 1), coeff))
         elif axis == j:

@@ -36,6 +36,16 @@ class Edge(NamedTuple):
     axis: int
 
 
+def _json_ints_template(n: int) -> str:
+    """A ``%`` template for a JSON array of ``n`` integers: ``[%d,%d]``."""
+    return "[" + ",".join(["%d"] * n) + "]"
+
+
+def _json_ints(values) -> str:
+    """The canonical JSON text of a sequence of integers."""
+    return _json_ints_template(len(values)) % tuple(values)
+
+
 def _accumulate(entries: dict, key, coeff: int) -> None:
     # Keeps the support exact: a zero total removes the key outright.
     if coeff == 0:
@@ -77,7 +87,10 @@ class Chain:
 
     def entries(self) -> list:
         """Entries sorted on their keys."""
-        return sorted(self._entries.items())
+        # Keys are unique, so sorting them alone gives the order of sorting
+        # the pairs, without comparing pairs through their nested tuples.
+        entries = self._entries
+        return [(key, entries[key]) for key in sorted(entries)]
 
     def _check_rank(self, other: "Chain") -> None:
         if self.d != other.d:
@@ -207,11 +220,12 @@ class EdgeFlow(Chain):
     def is_cycle(self) -> bool:
         return not self.boundary()
 
-    def as_json(self) -> list[dict]:
-        return [
-            {"base": list(edge.base), "axis": edge.axis, "mult": coeff}
-            for edge, coeff in self.entries()
-        ]
+    def as_json(self) -> str:
+        """The canonical JSON text of the sorted entries:
+        ``[{"axis":a,"base":[...],"mult":m},...]``."""
+        row = '{"axis":%d,"base":' + _json_ints_template(self.d) + ',"mult":%d}'
+        rows = [row % (axis, *base, coeff) for (base, axis), coeff in self.entries()]
+        return "[" + ",".join(rows) + "]"
 
 
 class PathEvaluation(NamedTuple):
@@ -220,8 +234,8 @@ class PathEvaluation(NamedTuple):
     endpoint: Vector
     flow: EdgeFlow
 
-    def as_json(self) -> dict:
-        return {"endpoint": list(self.endpoint), "flow": self.flow.as_json()}
+    def as_json(self) -> str:
+        return '{"endpoint":' + _json_ints(self.endpoint) + ',"flow":' + self.flow.as_json() + "}"
 
 
 def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> PathEvaluation:
@@ -233,15 +247,26 @@ def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> Pat
     """
     position = [0] * d
     entries: dict[Edge, int] = {}
+    get = entries.get
+    # Edge keys are built by tuple.__new__: the named tuple's own __new__ is
+    # a Python-level call per letter.
+    new = tuple.__new__
     for axis, sign in letters:
         if not 1 <= axis <= d:
             raise WordSyntaxError(f"generator index {axis} out of range 1..{d}")
-        if sign > 0:
-            _accumulate(entries, Edge(tuple(position), axis), 1)
+        if sign == 1:
+            key = new(Edge, (tuple(position), axis))
+            entries[key] = get(key, 0) + 1
             position[axis - 1] += 1
-        else:
+        elif sign == -1:
             position[axis - 1] -= 1
-            _accumulate(entries, Edge(tuple(position), axis), -1)
+            key = new(Edge, (tuple(position), axis))
+            entries[key] = get(key, 0) - 1
+        else:
+            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+    # Edges walked both ways cancel to zero; they leave the support here, once.
+    if 0 in entries.values():
+        entries = {key: coeff for key, coeff in entries.items() if coeff}
     return PathEvaluation(tuple(position), EdgeFlow._of(d, entries))
 
 

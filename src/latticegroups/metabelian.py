@@ -18,6 +18,8 @@ from .lattice import (
     Vector,
     VertexChain,
     _accumulate,
+    _json_ints,
+    _json_ints_template,
     basis_vector,
     evaluate_path,
     vec_add,
@@ -97,8 +99,8 @@ class MetabelianElement(GroupElement):
     def __repr__(self) -> str:
         return f"MetabelianElement(endpoint={self.endpoint}, flow={self.flow!r})"
 
-    def as_json(self) -> dict:
-        return {"endpoint": list(self.endpoint), "flow": self.flow.as_json()}
+    def as_json(self) -> str:
+        return '{"endpoint":' + _json_ints(self.endpoint) + ',"flow":' + self.flow.as_json() + "}"
 
 
 def plaquette_element(p: Plaquette) -> MetabelianElement:
@@ -151,17 +153,18 @@ class FoxImage(NamedTuple):
     monomial: Vector
     derivatives: tuple[dict, ...]
 
-    def as_json(self) -> dict:
-        return {
-            "monomial": list(self.monomial),
-            "derivatives": [
-                [
-                    {"point": list(point), "coeff": coeff}
-                    for point, coeff in sorted(component.items())
-                ]
-                for component in self.derivatives
-            ],
-        }
+    def as_json(self) -> str:
+        """The canonical JSON text: ``{"derivatives":[[{"coeff":c,"point":[...]},
+        ...],...],"monomial":[...]}``, each component sorted on its points."""
+        row = '{"coeff":%d,"point":' + _json_ints_template(len(self.monomial)) + "}"
+        components = [
+            "[" + ",".join([row % (component[point], *point) for point in sorted(component)]) + "]"
+            for component in self.derivatives
+        ]
+        return (
+            '{"derivatives":[' + ",".join(components) + '],"monomial":'
+            + _json_ints(self.monomial) + "}"
+        )
 
 
 def fox_image(word: Word) -> FoxImage:
@@ -171,26 +174,31 @@ def fox_image(word: Word) -> FoxImage:
     A positive letter on axis i contributes the module generator u_i; a
     negative letter contributes -t^{-e_i} u_i. The diagonal stays a single
     monomial throughout.
+
+    Each letter costs one polynomial product. Multiplying the running matrix
+    by a letter's matrix gives
+    ``[[a, b], [0, 1]] · [[c, e], [0, 1]] = [[ac, ae + b], [0, 1]]``, and
+    the letter's corner ``e`` is 1 for a positive letter (``c = t^{e_i}``)
+    and ``-c`` for a negative one (``c = t^{-e_i}``). So ``ae`` is the old
+    diagonal ``a`` or minus the new diagonal ``ac``, which the fold computes
+    anyway: the derivative on axis i gains ``sign · (a or ac)``.
     """
     d = word.d
-    zero = (0,) * d
-    diagonal: Polynomial = {zero: 1}
+    diagonal: Polynomial = {(0,) * d: 1}
     derivatives: list[Polynomial] = [dict() for _ in range(d)]
-    # letter -> (diagonal entry, corner entry, derivative it adds into), built
-    # once per call for the letters in use: all 2d of them would cost d^2.
-    matrices = {}
+    # letter -> its diagonal entry t^{±e_i}, built once per call for the
+    # letters in use: all 2d of them would cost d^2.
+    steps = {}
     for axis, sign in set(word.letters):
         step = basis_vector(d, axis)
-        if sign > 0:
-            matrices[axis, sign] = ({step: 1}, {zero: 1}, derivatives[axis - 1])
-        else:
-            down = vec_neg(step)
-            matrices[axis, sign] = ({down: 1}, {down: -1}, derivatives[axis - 1])
+        steps[axis, sign] = {step if sign > 0 else vec_neg(step): 1}
     for letter in word.letters:
-        letter_diag, letter_deriv, target = matrices[letter]
-        for key, coeff in _poly_mul(diagonal, letter_deriv).items():
-            _accumulate(target, key, coeff)
-        diagonal = _poly_mul(diagonal, letter_diag)
+        axis, sign = letter
+        product = _poly_mul(diagonal, steps[letter])
+        target = derivatives[axis - 1]
+        for key, coeff in (diagonal if sign > 0 else product).items():
+            _accumulate(target, key, sign * coeff)
+        diagonal = product
     ((monomial, unit),) = diagonal.items()
     assert unit == 1
     return FoxImage(monomial, tuple(derivatives))

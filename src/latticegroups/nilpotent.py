@@ -8,7 +8,7 @@ coordinate-plane projections of the path.
 
 from __future__ import annotations
 
-from .lattice import Vector, _accumulate, vec_add
+from .lattice import Vector, _accumulate, _json_ints, vec_add
 from .words import GroupElement, RankMismatchError, Word
 
 
@@ -94,11 +94,11 @@ class HeisenbergElement(GroupElement):
     def __repr__(self) -> str:
         return f"HeisenbergElement(endpoint={self.endpoint}, areas={dict(self.areas())!r})"
 
-    def as_json(self) -> dict:
-        return {
-            "endpoint": list(self.endpoint),
-            "areas": [{"i": i, "j": j, "value": value} for (i, j), value in self.areas()],
-        }
+    def as_json(self) -> str:
+        """The canonical JSON text:
+        ``{"areas":[{"i":i,"j":j,"value":v},...],"endpoint":[...]}``."""
+        rows = ['{"i":%d,"j":%d,"value":%d}' % (i, j, value) for (i, j), value in self.areas()]
+        return '{"areas":[' + ",".join(rows) + '],"endpoint":' + _json_ints(self.endpoint) + "}"
 
 
 def word_is_trivial(word: Word) -> bool:

@@ -19,7 +19,7 @@ from .homology import (
     algebraic_area,
     plaquette_boundary,
 )
-from .lattice import Edge, EdgeFlow, Vector, _accumulate, vec_add, vec_neg
+from .lattice import Edge, EdgeFlow, Vector, _accumulate, _json_ints, vec_add, vec_neg
 from .words import (
     GroupElement,
     Letter,
@@ -114,8 +114,9 @@ class SatelliteElement(GroupElement):
     def __repr__(self) -> str:
         return f"SatelliteElement(k={self.k}, vec={self.vec}, cycle={self.cycle!r})"
 
-    def as_json(self) -> dict:
-        return {"k": self.k, "vec": list(self.vec), "cycle": self.cycle.as_json()}
+    def as_json(self) -> str:
+        """The canonical JSON text: ``{"cycle":[...],"k":k,"vec":[a,b]}``."""
+        return '{"cycle":%s,"k":%d,"vec":%s}' % (self.cycle.as_json(), self.k, _json_ints(self.vec))
 
 
 def generator(name: str, k: int) -> SatelliteElement:

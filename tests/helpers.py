@@ -1,15 +1,22 @@
 """Shared builders for the test suite: seeded random words, loops, and flows."""
 
+import json
 import random
 
 from latticegroups import (
     Edge,
     EdgeFlow,
+    FoxImage,
+    HeisenbergElement,
     Letter,
+    MetabelianElement,
+    PathEvaluation,
+    PlaquetteSum,
     Word,
     evaluate_path,
     parse_word,
 )
+from latticegroups.satellite import SatelliteElement
 
 
 def w(text, d=2):
@@ -50,3 +57,47 @@ def shuffled_copy(flow: EdgeFlow, rng: random.Random) -> EdgeFlow:
 
 def edge(base, axis) -> Edge:
     return Edge(tuple(base), axis)
+
+
+# Reference encodings: the structure each type's as_json() text encodes,
+# built as dicts and lists for json.dumps.
+
+
+def _flow_json(flow):
+    return [
+        {"base": list(edge.base), "axis": edge.axis, "mult": coeff}
+        for edge, coeff in flow.entries()
+    ]
+
+
+def _endpoint_flow_json(value):
+    return {"endpoint": list(value.endpoint), "flow": _flow_json(value.flow)}
+
+
+JSON_REFERENCE = {
+    EdgeFlow: _flow_json,
+    PathEvaluation: _endpoint_flow_json,
+    MetabelianElement: _endpoint_flow_json,
+    PlaquetteSum: lambda ps: [
+        {"base": list(p.base), "i": p.i, "j": p.j, "mult": coeff} for p, coeff in ps.entries()
+    ],
+    HeisenbergElement: lambda elem: {
+        "endpoint": list(elem.endpoint),
+        "areas": [{"i": i, "j": j, "value": value} for (i, j), value in elem.areas()],
+    },
+    SatelliteElement: lambda elem: {
+        "k": elem.k, "vec": list(elem.vec), "cycle": _flow_json(elem.cycle)
+    },
+    FoxImage: lambda image: {
+        "monomial": list(image.monomial),
+        "derivatives": [
+            [{"point": list(point), "coeff": coeff} for point, coeff in sorted(component.items())]
+            for component in image.derivatives
+        ],
+    },
+}
+
+
+def reference_json(value) -> str:
+    """The canonical JSON text of ``value``, by json.dumps of its structure."""
+    return json.dumps(JSON_REFERENCE[type(value)](value), sort_keys=True, separators=(",", ":"))

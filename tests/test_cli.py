@@ -134,6 +134,22 @@ def test_batch_line_led_by_negative_vector(tmp_path, capsys):
     assert capsys.readouterr().out == golden + "error: bad arguments\n"
 
 
+@pytest.mark.parametrize("vector", ["1_0,2", "0x1,0", "1e3,0", "1.0,0", "1,,0", "", "1,0,"])
+def test_cocycle_vector_outside_integer_grammar_refused(vector, capsys):
+    # Parts follow the word-exponent grammar; int() alone reads 1_0 as 10.
+    assert main(["cocycle", vector, "3,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad vector {vector!r}; expected comma-separated integers\n"
+
+
+def test_cocycle_vector_keeps_signs_blanks_and_unicode_digits(capsys):
+    assert main(["cocycle", "--json", " +1 , 0", "\u0660,\u0661"]) == 0
+    out = capsys.readouterr().out
+    assert main(["cocycle", "--json", "1,0", "0,1"]) == 0
+    assert capsys.readouterr().out == out
+
+
 # Inputs whose eager expansion used to run without end, and ranks whose fold
 # (a d-tuple copied per letter) used to exhaust memory or run for minutes.
 HUGE = {
@@ -218,7 +234,7 @@ def test_thin_adapter_matches_module(capsys):
     main(["nf", "--d", "2", "--json", word])
     out = capsys.readouterr().out
     elem = MetabelianElement.from_word(parse_word(word, 2))
-    assert json.loads(out) == elem.as_json()
+    assert out == elem.as_json() + "\n"
 
 
 def test_batch_missing_file(capsys):

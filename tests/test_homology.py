@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -293,7 +294,7 @@ class TestProjection:
 
 def test_plaquette_sum_json_round_trip():
     ps = PlaquetteSum(2, {Plaquette((0, 0), 1, 2): 2, Plaquette((-1, 3), 1, 2): -1})
-    assert plaquette_sum_from_json(ps.as_json(), d=2) == ps
+    assert plaquette_sum_from_json(json.loads(ps.as_json()), d=2) == ps
 
 
 def test_non_loop_word_flow_rejected_by_area():

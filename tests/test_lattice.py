@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -52,6 +53,14 @@ class TestEvaluate:
         endpoint, flow = evaluate_letters([Letter(1, 1), Letter(1, -1)], 2)
         assert endpoint == (0, 0)
         assert not flow
+
+    @pytest.mark.parametrize("sign", [0, 5, -2])
+    def test_sign_other_than_unit_refused(self, sign):
+        # The same message as Word's.
+        with pytest.raises(ValueError, match=f"letter sign must be \\+1 or -1, got {sign}"):
+            evaluate_letters([Letter(1, 1), (1, sign)], 1)
+        with pytest.raises(ValueError, match=f"letter sign must be \\+1 or -1, got {sign}"):
+            Word([(1, sign)], 1)
 
     @given(words_st(3))
     def test_boundary_matches_endpoint(self, word):
@@ -256,14 +265,14 @@ class TestLoops:
 
 
 def test_json_encoding_sorted():
-    obj = COMMUTATOR_FLOW.as_json()
+    obj = json.loads(COMMUTATOR_FLOW.as_json())
     assert obj == [
         {"base": [0, 0], "axis": 1, "mult": 1},
         {"base": [0, 0], "axis": 2, "mult": -1},
         {"base": [0, 1], "axis": 1, "mult": -1},
         {"base": [1, 0], "axis": 2, "mult": 1},
     ]
-    assert evaluate_path(w("x1 x2 x1^-1 x2^-1")).as_json() == {
+    assert json.loads(evaluate_path(w("x1 x2 x1^-1 x2^-1")).as_json()) == {
         "endpoint": [0, 0],
         "flow": obj,
     }

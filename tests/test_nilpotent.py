@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -131,7 +132,7 @@ class TestAreaCrossCheck:
 
 def test_json_shape():
     elem = HeisenbergElement.from_word(w("x1 x2 x1^-1 x2^-1"))
-    assert elem.as_json() == {
+    assert json.loads(elem.as_json()) == {
         "endpoint": [0, 0],
         "areas": [{"i": 1, "j": 2, "value": 1}],
     }

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -320,10 +321,10 @@ class TestValidation:
 
     def test_json_shape(self):
         z = generator("z", 4)
-        assert z.as_json() == {
+        assert json.loads(z.as_json()) == {
             "k": 4,
             "vec": [0, 0],
-            "cycle": plaquette_boundary(Plaquette((0, 0), 1, 2)).as_json(),
+            "cycle": json.loads(plaquette_boundary(Plaquette((0, 0), 1, 2)).as_json()),
         }
 
 
