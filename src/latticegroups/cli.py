@@ -201,22 +201,20 @@ def _cmd_member(args) -> tuple[str, int]:
     return (_dumps({"member": member}) if args.json else ("true" if member else "false")), 0
 
 
-def _run_line(
-    parser: argparse.ArgumentParser, tokens: list[str]
-) -> tuple[str | None, str | None, int]:
-    """Execute one command line with the batch call's own parser; returns
+def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:
+    """Execute one command line with the process's parser; returns
     (output, error message, exit code)."""
     try:
         # A bad line is reported as one marker: argparse's usage text, and the
         # help text of -h, go to a throwaway buffer, not into the results.
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            args = parser.parse_args(tokens)
+            args = _parser().parse_args(tokens)
     except SystemExit:
         return None, "bad arguments", 2
     if args.verb == "batch":
         return None, "batch cannot be nested", 2
     try:
-        output, code = args.handler(args)
+        output, code = globals()[args.handler](args)
         return output, None, code
     except _ERRORS as exc:
         return None, str(exc), 2
@@ -272,7 +270,7 @@ def _split_line(line: str) -> list[str]:
     return tokens
 
 
-def _cmd_batch(parser: argparse.ArgumentParser, args) -> tuple[str | None, int]:
+def _cmd_batch(args) -> tuple[str | None, int]:
     # A line ends at "\n" only, not at the other breaks str.splitlines knows
     # (such as "\f" or U+2028), and one "\r" before it is dropped (CRLF).
     with open(args.file, "r", encoding="utf-8", newline="") as handle:
@@ -296,7 +294,7 @@ def _cmd_batch(parser: argparse.ArgumentParser, args) -> tuple[str | None, int]:
                 continue
             flags = ["--group", args.group, "--d", str(args.d), "--k", str(args.k)]
             tokens = ["eq", *flags, *(["--json"] if args.json else []), *tokens]
-        output, error, _code = _run_line(parser, tokens)
+        output, error, _code = _run_line(tokens)
         outputs.append(f"error: {error}" if error is not None else output)
     # None, not "": main would print "" as one blank line for no input line.
     return ("\n".join(outputs) if outputs else None), 0
@@ -315,6 +313,9 @@ def _add_common(sub, *, d=True, k=False, group=None) -> None:
     sub.add_argument("--json", action="store_true", help="emit one JSON document")
 
 
+# Each verb's defaults name its handler; main and batch lines look the name up
+# on this module when they run it, so a handler rebound on the module after
+# the parser was built is the one that runs.
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticegroups",
@@ -327,34 +328,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p = verbs.add_parser("reduce", help="freely reduce a word (eval --group free)")
     _add_common(p)
     p.add_argument("word")
-    p.set_defaults(handler=_cmd_eval, group="free")
+    p.set_defaults(handler="_cmd_eval", group="free")
 
     p = verbs.add_parser("eval", help="evaluate a word in a chosen quotient")
     _add_common(p, k=True, group="required")
     p.add_argument("word", help="indexed word (x1, x2, ...) or x/y/z word for satellite")
-    p.set_defaults(handler=_cmd_eval)
+    p.set_defaults(handler="_cmd_eval")
 
     p = verbs.add_parser("eq", help="decide equality of two words (exit 0 equal, 1 unequal)")
     _add_common(p, k=True, group="required")
     p.add_argument("word1")
     p.add_argument("word2")
-    p.set_defaults(handler=_cmd_eq)
+    p.set_defaults(handler="_cmd_eq")
 
     p = verbs.add_parser("nf", help="metabelian normal form of a word (eval --group metabelian)")
     _add_common(p)
     p.add_argument("--group", choices=["metabelian"], default="metabelian")
     p.add_argument("word")
-    p.set_defaults(handler=_cmd_eval)
+    p.set_defaults(handler="_cmd_eval")
 
     p = verbs.add_parser("decompose", help="plaquette decomposition of a loop word")
     _add_common(p)
     p.add_argument("word")
-    p.set_defaults(handler=_cmd_decompose)
+    p.set_defaults(handler="_cmd_decompose")
 
     p = verbs.add_parser("area", help="algebraic area of a planar loop word")
     _add_common(p)
     p.add_argument("word")
-    p.set_defaults(handler=_cmd_area)
+    p.set_defaults(handler="_cmd_area")
 
     p = verbs.add_parser("cocycle", help="canonical cocycle value at a vector pair")
     # Read vectors such as -1,3 as positionals, not as unknown options.
@@ -362,43 +363,52 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, d=False)
     p.add_argument("g1", help="comma-separated integers, e.g. 1,0")
     p.add_argument("g2")
-    p.set_defaults(handler=_cmd_cocycle)
+    p.set_defaults(handler="_cmd_cocycle")
 
     p = verbs.add_parser("beta", help="integer index classifying a level-k cocycle")
     _add_common(p, d=False, k=True)
     p.add_argument("--perturb", help="JSON file of {vertex, plaquettes} coboundary shifts")
-    p.set_defaults(handler=_cmd_beta)
+    p.set_defaults(handler="_cmd_beta")
 
     p = verbs.add_parser("fox", help="matrix-embedding image of a word")
     _add_common(p)
     p.add_argument("word")
-    p.set_defaults(handler=_cmd_fox)
+    p.set_defaults(handler="_cmd_fox")
 
     p = verbs.add_parser("member", help="subgroup membership in the level-k extension")
     _add_common(p, d=False, k=True)
     p.add_argument("--sub", choices=SUBGROUPS, required=True)
     p.add_argument("word", help="word over x, y, z")
-    p.set_defaults(handler=_cmd_member)
+    p.set_defaults(handler="_cmd_member")
 
     p = verbs.add_parser("batch", help="run newline-separated commands (or word pairs with --eq)")
     p.add_argument("file")
     p.add_argument("--eq", action="store_true", help="treat each line as a word pair for eq")
     _add_common(p, k=True, group="metabelian")
-    # Every line of a batch call reuses the parser that parsed the call, so
-    # each call builds one parser, not one per line.
-    p.set_defaults(handler=lambda args: _cmd_batch(parser, args))
+    p.set_defaults(handler="_cmd_batch")
 
     return parser
 
 
+# The parser of this process: built by the first main call, not at import,
+# and reused by every later call and batch line.
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        output, code = args.handler(args)
+        output, code = globals()[args.handler](args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ its algebraic area.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from . import words
@@ -85,7 +86,7 @@ class PlaquetteSum(Chain):
     @staticmethod
     def _key(key, d: int) -> Plaquette:
         base, i, j = key
-        plaquette = Plaquette(tuple(base), int(i), int(j))
+        plaquette = Plaquette(tuple(map(index, base)), index(i), index(j))
         if plaquette.d != d:
             raise RankMismatchError(f"plaquette {plaquette} does not have rank {d}")
         return plaquette
@@ -288,9 +289,6 @@ def project_flow(flow: EdgeFlow, i: int, j: int) -> EdgeFlow:
 
 def plaquette_sum_from_json(obj, d: int) -> PlaquetteSum:
     """Decode the JSON array form: [{"base": [...], "i": i, "j": j, "mult": k}, ...]."""
-    pairs = []
-    for item in obj:
-        pairs.append(
-            (Plaquette(tuple(item["base"]), int(item["i"]), int(item["j"])), int(item["mult"]))
-        )
-    return PlaquetteSum(d, pairs)
+    return PlaquetteSum(
+        d, [((item["base"], item["i"], item["j"]), item["mult"]) for item in obj]
+    )

@@ -7,7 +7,7 @@ traversals against the orientation contribute negative multiplicity.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, index
 from typing import Iterable, Mapping, NamedTuple
 
 from .words import Letter, RankMismatchError, Word, WordSyntaxError
@@ -63,6 +63,8 @@ class Chain:
     Values are exact arbitrary-precision integers and zero entries are never
     stored, so equality of chains is plain map equality. Each kind names its
     cell keys through ``_key``, which checks and normalises one key.
+    Coordinates, axes and coefficients are read through ``operator.index``:
+    a float or a string is refused, not truncated, and a bool reads as 0/1.
     """
 
     __slots__ = ("d", "_entries")
@@ -71,7 +73,7 @@ class Chain:
         entries: dict = {}
         key_of = self._key
         for key, coeff in items.items() if isinstance(items, Mapping) else items:
-            _accumulate(entries, key_of(key, d), int(coeff))
+            _accumulate(entries, key_of(key, d), index(coeff))
         self.d = d
         self._entries = entries
 
@@ -152,7 +154,7 @@ class VertexChain(Chain):
 
     @staticmethod
     def _key(vertex, d: int) -> Vector:
-        vertex = tuple(vertex)
+        vertex = tuple(map(index, vertex))
         if len(vertex) != d:
             raise RankMismatchError(f"vertex {vertex} does not have rank {d}")
         return vertex
@@ -183,7 +185,7 @@ class EdgeFlow(Chain):
     @staticmethod
     def _key(key, d: int) -> Edge:
         base, axis = key
-        edge = Edge(tuple(base), int(axis))
+        edge = Edge(tuple(map(index, base)), index(axis))
         if len(edge.base) != d:
             raise RankMismatchError(f"edge base {edge.base} does not have rank {d}")
         if not 1 <= edge.axis <= d:

@@ -9,6 +9,7 @@ in d commuting variables, computed by genuine polynomial arithmetic.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from .cocycles import monomial_flow, monomial_word
@@ -34,7 +35,7 @@ class MetabelianElement(GroupElement):
     __slots__ = ("endpoint", "flow")
 
     def __init__(self, endpoint: Vector, flow: EdgeFlow):
-        endpoint = tuple(endpoint)
+        endpoint = tuple(map(index, endpoint))
         if len(endpoint) != flow.d:
             raise RankMismatchError(
                 f"endpoint rank {len(endpoint)} does not match flow rank {flow.d}"

@@ -8,6 +8,8 @@ coordinate-plane projections of the path.
 
 from __future__ import annotations
 
+from operator import index
+
 from .lattice import Vector, _accumulate, _json_ints, vec_add
 from .words import GroupElement, RankMismatchError, Word
 
@@ -18,14 +20,15 @@ class HeisenbergElement(GroupElement):
     __slots__ = ("endpoint", "_areas")
 
     def __init__(self, endpoint: Vector, areas=()):
-        endpoint = tuple(endpoint)
+        endpoint = tuple(map(index, endpoint))
         d = len(endpoint)
         entries: dict[tuple[int, int], int] = {}
         pairs = areas.items() if isinstance(areas, dict) else areas
         for (i, j), value in pairs:
+            i, j = index(i), index(j)
             if not 1 <= i < j <= d:
                 raise ValueError(f"area index ({i}, {j}) out of range for rank {d}")
-            _accumulate(entries, (i, j), int(value))
+            _accumulate(entries, (i, j), index(value))
         self.endpoint = endpoint
         self._areas = entries
 

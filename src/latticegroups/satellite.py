@@ -8,6 +8,7 @@ metabelian group on two generators; level 0 is the split extension.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable
 
 from .cocycles import canonical_cocycle, monomial_flow
@@ -42,12 +43,12 @@ class SatelliteElement(GroupElement):
     __slots__ = ("k", "vec", "cycle")
 
     def __init__(self, k: int, vec: Vector, cycle: EdgeFlow):
-        vec = tuple(vec)
+        vec = tuple(map(index, vec))
         if len(vec) != 2 or cycle.d != 2:
             raise ValueError("satellite elements live over rank 2")
         if not cycle.is_cycle():
             raise NotACycleError("satellite cycle part has nonzero boundary")
-        self.k = k
+        self.k = index(k)
         self.vec = vec
         self.cycle = cycle
 

@@ -250,12 +250,8 @@ def test_batch_empty_file(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["batch", BATCH_COMMANDS], ["batch", "--eq", "--group", "metabelian", "--d", "2", BATCH_PAIRS]],
-    ids=["plain", "eq"],
-)
-def test_batch_builds_one_parser_per_call(argv, monkeypatch, capsys):
+def _count_builds(monkeypatch):
+    """The list that grows by one entry per parser build from now on."""
     builds = []
     build = cli._build_parser
 
@@ -264,8 +260,43 @@ def test_batch_builds_one_parser_per_call(argv, monkeypatch, capsys):
         return build()
 
     monkeypatch.setattr(cli, "_build_parser", counting_build)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["batch", BATCH_COMMANDS], ["batch", "--eq", "--group", "metabelian", "--d", "2", BATCH_PAIRS]],
+    ids=["plain", "eq"],
+)
+def test_batch_builds_one_parser_per_call(argv, monkeypatch, capsys):
+    # A batch call in a process that holds no parser yet builds one for all
+    # its lines; a second call reuses it.
+    builds = _count_builds(monkeypatch)
+    monkeypatch.setattr(cli, "_PARSER", None)
     assert main(argv) == 0
     assert capsys.readouterr().out.count("\n") > 1
+    assert len(builds) == 1
+    assert main(argv) == 0
+    assert len(builds) == 1
+
+
+def test_one_parser_per_process(monkeypatch, capsys):
+    calls = [
+        (["reduce", "x1 x1^-1 x2"], 0),
+        (["batch", BATCH_COMMANDS], 0),
+        (["batch", "--eq", "--group", "metabelian", "--d", "2", BATCH_PAIRS], 0),
+        (["frobnicate"], 2),
+        (["-h"], 0),
+    ]
+    builds = _count_builds(monkeypatch)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for argv, code in calls:
+        assert main(argv) == code
+    assert capsys.readouterr().out.count("\n") > len(calls)
+    assert len(builds) == 1
+    # A process that already holds a parser builds none.
+    for argv, code in calls:
+        assert main(argv) == code
     assert len(builds) == 1
 
 
@@ -323,6 +354,44 @@ def test_batch_line_matches_line_alone(order, tmp_path, capsys):
     results = capsys.readouterr().out.split("\n")
     assert results.pop() == ""
     assert results == [_alone(line) for line in lines]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_reused_parser_matches_fresh_parser(order, tmp_path, monkeypatch):
+    # Successive main calls share one parser; each must answer as the same
+    # argv does on a parser built for it alone. "batch lines.txt" runs every
+    # line again inside one call.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lines.txt").write_text("\n".join(REUSE_LINES) + "\n", encoding="utf-8")
+    argvs = [shlex.split(line) for line in REUSE_LINES[::order]]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(_run_main(argv))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    builds = _count_builds(monkeypatch)
+    assert [_run_main(argv) for argv in argvs] == fresh
+    assert len(builds) == 1
+
+
+def test_rebound_handler_is_called(tmp_path, monkeypatch, capsys):
+    # The parser holds handler names, not handlers: a handler rebound after
+    # the parser was built is the one that runs, in main and in batch lines.
+    assert main(["area", "--d", "2", "x1 x2 x1^-1 x2^-1"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    words = []
+
+    def stub(args):
+        words.append(args.word)
+        return "stub", 0
+
+    monkeypatch.setattr(cli, "_cmd_area", stub)
+    commands = tmp_path / "commands.txt"
+    commands.write_text('area --d 2 "x2 x1"\n', encoding="utf-8")
+    assert main(["area", "--d", "2", "x1 x2"]) == 0
+    assert main(["batch", str(commands)]) == 0
+    assert capsys.readouterr().out == "stub\nstub\n"
+    assert words == ["x1 x2", "x2 x1"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
-"""Each type's as_json() text against json.dumps of the structure it encodes."""
+"""Each type's as_json() text against json.dumps of the structure it encodes,
+and the integer reading of the public constructors whose values it prints."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from latticegroups import (
@@ -10,12 +12,14 @@ from latticegroups import (
     MetabelianElement,
     Plaquette,
     PlaquetteSum,
+    VertexChain,
     Word,
     commutator,
     evaluate_letters,
     fox_image,
+    plaquette_sum_from_json,
 )
-from latticegroups.satellite import GENERATOR_NAMES, from_word, generator
+from latticegroups.satellite import GENERATOR_NAMES, SatelliteElement, from_word, generator
 from helpers import reference_json
 
 # Small and negative values, and values past 2^64.
@@ -106,3 +110,37 @@ def test_empty_values():
             fox_image(Word.identity(d)),
         ):
             assert value.as_json() == reference_json(value)
+
+
+# constructor slot -> the value built with n in that slot; n = 1 is valid in each.
+INTEGER_SLOTS = {
+    "EdgeFlow-base": lambda n: EdgeFlow(2, [(((n, 0), 1), 1)]),
+    "EdgeFlow-axis": lambda n: EdgeFlow(2, [(((0, 0), n), 1)]),
+    "EdgeFlow-mult": lambda n: EdgeFlow(2, {((0, 0), 1): n}),
+    "VertexChain-vertex": lambda n: VertexChain(2, [((0, n), 1)]),
+    "VertexChain-mult": lambda n: VertexChain(2, [((0, 0), n)]),
+    "PlaquetteSum-base": lambda n: PlaquetteSum(2, [(((0, n), 1, 2), 1)]),
+    "PlaquetteSum-i": lambda n: PlaquetteSum(2, [(((0, 0), n, 2), 1)]),
+    "PlaquetteSum-mult": lambda n: PlaquetteSum(2, [(((0, 0), 1, 2), n)]),
+    "from_json-base": lambda n: plaquette_sum_from_json([{"base": [n, 0], "i": 1, "j": 2, "mult": 2}], d=2),
+    "from_json-i": lambda n: plaquette_sum_from_json([{"base": [0, 0], "i": n, "j": 2, "mult": 2}], d=2),
+    "from_json-mult": lambda n: plaquette_sum_from_json([{"base": [0, 0], "i": 1, "j": 2, "mult": n}], d=2),
+    "Metabelian-endpoint": lambda n: MetabelianElement((n, 0), EdgeFlow(2, [(((0, 0), 1), 1)])),
+    "Heisenberg-endpoint": lambda n: HeisenbergElement((n, 2)),
+    "Heisenberg-i": lambda n: HeisenbergElement((0, 0), {(n, 2): 3}),
+    "Heisenberg-area": lambda n: HeisenbergElement((0, 0), {(1, 2): n}),
+    "Satellite-vec": lambda n: SatelliteElement(1, (n, 0), EdgeFlow(2)),
+    "Satellite-k": lambda n: SatelliteElement(n, (0, 0), EdgeFlow(2)),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, "1", True], ids=["half", "float", "str", "bool"])
+@pytest.mark.parametrize("build", list(INTEGER_SLOTS.values()), ids=list(INTEGER_SLOTS))
+def test_constructors_read_integers(build, value):
+    # The %d writers would print 0.5 as 0 and 2.7 as 2: a non-integer is
+    # refused, and a bool is read as the int it stands for.
+    if value is True:
+        assert repr(build(value)) == repr(build(1))
+    else:
+        with pytest.raises(TypeError):
+            build(value)
