@@ -41,9 +41,10 @@ class Plaquette(_PlaquetteFields):
     __slots__ = ()
 
     def __new__(cls, base: Vector, i: int, j: int):
+        base, i, j = tuple(map(index, base)), index(i), index(j)
         if not 1 <= i < j <= len(base):
             raise ValueError(f"bad plaquette axes ({i}, {j}) for rank {len(base)}")
-        return super().__new__(cls, base, i, j)
+        return tuple.__new__(cls, (base, i, j))
 
     @classmethod
     def _of(cls, base: Vector, i: int, j: int) -> "Plaquette":
@@ -86,7 +87,7 @@ class PlaquetteSum(Chain):
     @staticmethod
     def _key(key, d: int) -> Plaquette:
         base, i, j = key
-        plaquette = Plaquette(tuple(map(index, base)), index(i), index(j))
+        plaquette = Plaquette(base, i, j)
         if plaquette.d != d:
             raise RankMismatchError(f"plaquette {plaquette} does not have rank {d}")
         return plaquette
@@ -247,25 +248,26 @@ def cube_relation(base: Vector, i: int, j: int, k: int) -> PlaquetteSum:
     Signs are fixed by the requirement that the boundary flows of the six
     faces cancel edge by edge under this package's plaquette orientation.
     """
+    base, i, j, k = tuple(map(index, base)), index(i), index(j), index(k)
     d = len(base)
     if d < 3:
         raise ValueError(f"cube relation needs rank >= 3, got {d}")
     if not 1 <= i < j < k <= d:
         raise ValueError(f"axes must satisfy 1 <= i < j < k <= {d}, got ({i}, {j}, {k})")
-    base = tuple(base)
     ei = basis_vector(d, i)
     ej = basis_vector(d, j)
     ek = basis_vector(d, k)
-    return PlaquetteSum(
+    # Six distinct faces with nonzero coefficients: valid by construction.
+    return PlaquetteSum._of(
         d,
-        [
-            (Plaquette(base, i, j), 1),
-            (Plaquette(vec_add(base, ek), i, j), -1),
-            (Plaquette(base, i, k), -1),
-            (Plaquette(vec_add(base, ej), i, k), 1),
-            (Plaquette(base, j, k), 1),
-            (Plaquette(vec_add(base, ei), j, k), -1),
-        ],
+        {
+            Plaquette._of(base, i, j): 1,
+            Plaquette._of(vec_add(base, ek), i, j): -1,
+            Plaquette._of(base, i, k): -1,
+            Plaquette._of(vec_add(base, ej), i, k): 1,
+            Plaquette._of(base, j, k): 1,
+            Plaquette._of(vec_add(base, ei), j, k): -1,
+        },
     )
 
 

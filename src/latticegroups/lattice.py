@@ -230,11 +230,18 @@ class EdgeFlow(Chain):
         return "[" + ",".join(rows) + "]"
 
 
-class PathEvaluation(NamedTuple):
-    """Endpoint and net edge flow of the lattice path read off a word."""
-
+class _PathFields(NamedTuple):
     endpoint: Vector
     flow: EdgeFlow
+
+
+class PathEvaluation(_PathFields):
+    """Endpoint and net edge flow of the lattice path read off a word."""
+
+    __slots__ = ()
+
+    def __new__(cls, endpoint: Vector, flow: EdgeFlow):
+        return tuple.__new__(cls, (tuple(map(index, endpoint)), flow))
 
     def as_json(self) -> str:
         return '{"endpoint":' + _json_ints(self.endpoint) + ',"flow":' + self.flow.as_json() + "}"
@@ -269,7 +276,8 @@ def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> Pat
     # Edges walked both ways cancel to zero; they leave the support here, once.
     if 0 in entries.values():
         entries = {key: coeff for key, coeff in entries.items() if coeff}
-    return PathEvaluation(tuple(position), EdgeFlow._of(d, entries))
+    # The endpoint is ints by construction: skip the public check.
+    return new(PathEvaluation, (tuple(position), EdgeFlow._of(d, entries)))
 
 
 def evaluate_path(word: Word) -> PathEvaluation:

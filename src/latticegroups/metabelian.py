@@ -147,12 +147,23 @@ def _poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return out
 
 
-class FoxImage(NamedTuple):
+class _FoxFields(NamedTuple):
+    monomial: Vector
+    derivatives: tuple[dict, ...]
+
+
+class FoxImage(_FoxFields):
     """Matrix-embedding image: a monomial exponent plus one Laurent coefficient
     map per generator."""
 
-    monomial: Vector
-    derivatives: tuple[dict, ...]
+    __slots__ = ()
+
+    def __new__(cls, monomial: Vector, derivatives):
+        derivatives = tuple(
+            {tuple(map(index, point)): index(coeff) for point, coeff in component.items()}
+            for component in derivatives
+        )
+        return tuple.__new__(cls, (tuple(map(index, monomial)), derivatives))
 
     def as_json(self) -> str:
         """The canonical JSON text: ``{"derivatives":[[{"coeff":c,"point":[...]},
@@ -202,4 +213,5 @@ def fox_image(word: Word) -> FoxImage:
         diagonal = product
     ((monomial, unit),) = diagonal.items()
     assert unit == 1
-    return FoxImage(monomial, tuple(derivatives))
+    # The fold's exponents and coefficients are ints: skip the public check.
+    return tuple.__new__(FoxImage, (monomial, tuple(derivatives)))

@@ -10,11 +10,13 @@ from latticegroups import (
     HeisenbergElement,
     Letter,
     MetabelianElement,
+    PathEvaluation,
     Plaquette,
     PlaquetteSum,
     VertexChain,
     Word,
     commutator,
+    cube_relation,
     evaluate_letters,
     fox_image,
     plaquette_sum_from_json,
@@ -131,6 +133,14 @@ INTEGER_SLOTS = {
     "Heisenberg-area": lambda n: HeisenbergElement((0, 0), {(1, 2): n}),
     "Satellite-vec": lambda n: SatelliteElement(1, (n, 0), EdgeFlow(2)),
     "Satellite-k": lambda n: SatelliteElement(n, (0, 0), EdgeFlow(2)),
+    "PathEvaluation-endpoint": lambda n: PathEvaluation((n, 0), EdgeFlow(2)),
+    "FoxImage-monomial": lambda n: FoxImage((n, 0), ({}, {})),
+    "FoxImage-point": lambda n: FoxImage((0, 0), ({(0, n): 2}, {})),
+    "FoxImage-coeff": lambda n: FoxImage((0, 0), ({}, {(0, 0): n})),
+    "Plaquette-base": lambda n: Plaquette((0, n), 1, 2),
+    "Plaquette-i": lambda n: Plaquette((0, 0), n, 2),
+    "cube_relation-base": lambda n: cube_relation((0, n, 0), 1, 2, 3),
+    "cube_relation-i": lambda n: cube_relation((0, 0, 0), n, 2, 3),
 }
 
 

@@ -262,6 +262,103 @@ def test_parse_letters_matches_reference(text, limit):
         )
 
 
+# --- free_reduce against the stack loop as first written ----------------------
+
+
+def reference_free_reduce(letters):
+    """One (axis, -sign) tuple per comparison, Letters pushed as they come."""
+    stack = []
+    for letter in letters:
+        axis, sign = letter
+        if stack and stack[-1] == (axis, -sign):
+            stack.pop()
+        else:
+            stack.append(letter if type(letter) is Letter else Letter(axis, sign))
+    return tuple(stack)
+
+
+# Axis 0 and signs 0 and +-2 are outside what a Word accepts, but free_reduce
+# takes any pairs: a sign-0 letter cancels its own copy, 2 cancels -2.
+_PAIRS = st.tuples(st.integers(0, 3), st.sampled_from((1, -1, 1, -1, 0, 2, -2)))
+_CONTAINERS = {"list": list, "tuple": tuple, "generator": lambda items: (item for item in items)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(_PAIRS, _PAIRS.map(lambda pair: Letter(*pair))), max_size=40),
+    st.sampled_from(sorted(_CONTAINERS)),
+)
+def test_free_reduce_matches_reference(letters, container):
+    reduced = free_reduce(_CONTAINERS[container](letters))
+    assert reduced == reference_free_reduce(letters)
+    assert all(type(letter) is Letter for letter in reduced)
+
+
+def test_free_reduce_many_distinct_letters():
+    # Hundreds of distinct letters, and a cancellation nested 15000 deep.
+    rng = random.Random(11)
+    letters = [(rng.randint(1, 400), rng.choice((1, -1))) for _ in range(20000)]
+    letters += [(axis, -sign) for axis, sign in reversed(letters[5000:])]
+    reduced = free_reduce(letters)
+    assert reduced == reference_free_reduce(letters) == reference_free_reduce(letters[:5000])
+
+
+# --- word intake at scale: many repeated tokens, errors at either end ---------
+
+_SCALE_TOKENS = 20000
+_SCALE_UNIT = ("", "^-1")
+_SCALE_EXPONENTS = _SCALE_UNIT + ("^2", "^-3", "^+1", "^4", "^-1")
+
+
+def _scale_tokens(seed, exponents):
+    rng = random.Random(seed)
+    return [rng.choice(("x1", "x2", "x3")) + rng.choice(exponents) for _ in range(_SCALE_TOKENS)]
+
+
+def _join(tokens, seed, dots):
+    if not dots:
+        return " ".join(tokens)
+    rng = random.Random(seed)
+    return "".join(token + rng.choice((".", " ", " . ", "..", "\t")) for token in tokens)
+
+
+def _expanded_length(tokens):
+    return sum(abs(int(token.partition("^")[2] or 1)) for token in tokens)
+
+
+def _assert_both_parsers_match(text, limit):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "MAX_LETTERS", limit)
+        assert _outcome(parse_word, text, 3) == _outcome(reference_parse_word, text, 3)
+        named = text.replace("x1", "x").replace("x2", "y").replace("x3", "z")
+        alphabet = ("x", "y", "z")
+        assert _outcome(parse_letters, named, alphabet) == _outcome(
+            reference_parse_letters, named, alphabet
+        )
+
+
+@pytest.mark.parametrize("shape", ["unit", "exponents", "dots"])
+@pytest.mark.parametrize("slack", [None, 0, -1])
+def test_intake_at_scale_matches_reference(shape, slack):
+    tokens = _scale_tokens(21, _SCALE_UNIT if shape == "unit" else _SCALE_EXPONENTS)
+    exact = _expanded_length(tokens)
+    limit = 10**6 if slack is None else exact + slack
+    _assert_both_parsers_match(_join(tokens, 22, shape == "dots"), limit)
+
+
+# The limit is the length of the word without the bad token, or one less.
+# An axis error (x4; x4 is also unknown to parse_letters) comes after its
+# own token's length check, an exponent error (x2^a, x2^0) before it.
+@pytest.mark.parametrize("bad", ["x4", "x2^a", "x2^0"])
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("slack", [0, -1])
+def test_intake_error_at_scale_matches_reference(bad, where, slack):
+    tokens = _scale_tokens(23, _SCALE_EXPONENTS)
+    limit = _expanded_length(tokens) + slack
+    tokens.insert({"start": 0, "middle": len(tokens) // 2, "end": len(tokens)}[where], bad)
+    _assert_both_parsers_match(_join(tokens, 24, where == "middle"), limit)
+
+
 def test_rank_messages_at_nonpositive_rank():
     for d in (0, -1):
         with pytest.raises(WordSyntaxError, match=f"generator index 1 out of range 1..{d}"):
