@@ -4,12 +4,15 @@ Two free-group words map to the same element exactly when their lattice
 paths end at the same point and traverse every edge the same net number of
 times. The module also carries an independent equality oracle: the image
 under the upper-triangular matrix embedding over the integer Laurent ring
-in d commuting variables, computed by genuine polynomial arithmetic.
+in d commuting variables. Every diagonal entry of that image is a monomial,
+so the oracle folds a word on the diagonal's exponent vector and writes the
+Fox derivatives as integer coefficients on lattice points, without reading
+the word's path through the flow fold.
 """
 
 from __future__ import annotations
 
-from operator import index
+from operator import add, index
 from typing import NamedTuple
 
 from .cocycles import monomial_flow, monomial_word
@@ -131,22 +134,6 @@ def word_problem(w1: Word, w2: Word) -> bool:
 
 # --- matrix embedding oracle ------------------------------------------------
 
-Polynomial = dict  # Vector exponent -> integer coefficient, exact support
-
-
-def _poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    out: Polynomial = {}
-    for u, a in p.items():
-        for v, b in q.items():
-            key = vec_add(u, v)
-            total = out.get(key, 0) + a * b
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-    return out
-
-
 class _FoxFields(NamedTuple):
     monomial: Vector
     derivatives: tuple[dict, ...]
@@ -184,34 +171,30 @@ def fox_image(word: Word) -> FoxImage:
     [[t^{±e_i}, ·], [0, 1]] over the Laurent ring in d commuting variables.
 
     A positive letter on axis i contributes the module generator u_i; a
-    negative letter contributes -t^{-e_i} u_i. The diagonal stays a single
-    monomial throughout.
+    negative letter contributes -t^{-e_i} u_i. Every diagonal entry is a
+    monomial, so the running diagonal is carried as its exponent vector.
 
-    Each letter costs one polynomial product. Multiplying the running matrix
-    by a letter's matrix gives
+    Multiplying the running matrix by a letter's matrix gives
     ``[[a, b], [0, 1]] · [[c, e], [0, 1]] = [[ac, ae + b], [0, 1]]``, and
     the letter's corner ``e`` is 1 for a positive letter (``c = t^{e_i}``)
     and ``-c`` for a negative one (``c = t^{-e_i}``). So ``ae`` is the old
     diagonal ``a`` or minus the new diagonal ``ac``, which the fold computes
-    anyway: the derivative on axis i gains ``sign · (a or ac)``.
+    anyway: the derivative on axis i gains ``sign`` at the exponent of
+    ``a`` or of ``ac``, and ``ac`` adds the exponents of ``a`` and ``c``.
     """
     d = word.d
-    diagonal: Polynomial = {(0,) * d: 1}
-    derivatives: list[Polynomial] = [dict() for _ in range(d)]
-    # letter -> its diagonal entry t^{±e_i}, built once per call for the
-    # letters in use: all 2d of them would cost d^2.
+    diagonal = (0,) * d
+    derivatives: list[dict] = [dict() for _ in range(d)]
+    # letter -> the exponent ±e_i of its diagonal entry, built once per call
+    # for the letters in use: all 2d of them would cost d^2.
     steps = {}
     for axis, sign in set(word.letters):
         step = basis_vector(d, axis)
-        steps[axis, sign] = {step if sign > 0 else vec_neg(step): 1}
+        steps[axis, sign] = step if sign > 0 else vec_neg(step)
     for letter in word.letters:
         axis, sign = letter
-        product = _poly_mul(diagonal, steps[letter])
-        target = derivatives[axis - 1]
-        for key, coeff in (diagonal if sign > 0 else product).items():
-            _accumulate(target, key, sign * coeff)
+        product = tuple(map(add, diagonal, steps[letter]))
+        _accumulate(derivatives[axis - 1], diagonal if sign > 0 else product, sign)
         diagonal = product
-    ((monomial, unit),) = diagonal.items()
-    assert unit == 1
     # The fold's exponents and coefficients are ints: skip the public check.
-    return tuple.__new__(FoxImage, (monomial, tuple(derivatives)))
+    return tuple.__new__(FoxImage, (diagonal, tuple(derivatives)))

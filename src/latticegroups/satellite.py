@@ -152,6 +152,8 @@ def from_word(word: str | Iterable[Letter], k: int) -> SatelliteElement:
     for axis, sign in letters:
         if not 1 <= axis <= 3:
             raise WordSyntaxError(f"generator index {axis} out of range 1..3")
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         if axis == 3:
             for edge, edge_sign in _boundary_edges(Plaquette._of(tuple(position), 1, 2)):
                 _accumulate(entries, edge, sign * edge_sign)

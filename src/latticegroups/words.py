@@ -111,15 +111,14 @@ class Word(GroupElement):
     def __init__(self, letters: Iterable[Letter | tuple[int, int]], d: int):
         if d < 1:
             raise ValueError(f"rank must be positive, got {d}")
-        reduced = free_reduce(letters)
-        for letter in reduced:
-            if not 1 <= letter.axis <= d:
-                raise WordSyntaxError(
-                    f"generator index {letter.axis} out of range 1..{d}"
-                )
-            if letter.sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
-        self.letters = reduced
+        letters = tuple(letters)
+        # Every distinct input letter is checked, letters that cancel too.
+        for axis, sign in dict.fromkeys(letters):
+            if not 1 <= axis <= d:
+                raise WordSyntaxError(f"generator index {axis} out of range 1..{d}")
+            if sign not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+        self.letters = free_reduce(letters)
         self.d = d
 
     @classmethod
@@ -144,7 +143,14 @@ class Word(GroupElement):
             return NotImplemented
         if self.d != other.d:
             raise RankMismatchError(f"cannot concatenate ranks {self.d} and {other.d}")
-        return Word._of(free_reduce(self.letters + other.letters), self.d)
+        # Both operands are reduced, so letters cancel only at the junction.
+        left, right = self.letters, other.letters
+        cancelled = 0
+        for (axis, sign), (next_axis, next_sign) in zip(reversed(left), right):
+            if axis != next_axis or sign != -next_sign:
+                break
+            cancelled += 1
+        return Word._of(left[: len(left) - cancelled] + right[cancelled:], self.d)
 
     def __invert__(self) -> "Word":
         # The inverse of a reduced word is reduced.

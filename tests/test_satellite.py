@@ -151,6 +151,9 @@ class TestWordEvaluation:
         for axis in (0, 4):
             with pytest.raises(WordSyntaxError):
                 from_word([Letter(axis, 1)], 2)
+        for letter, sign in ((Letter(1, 2), 2), ((1, 0), 0), (Letter(3, 2), 2)):
+            with pytest.raises(ValueError, match=f"letter sign must be \\+1 or -1, got {sign}$"):
+                from_word([letter], 1)
 
 
 class TestTelescopedFold:

@@ -108,9 +108,24 @@ class TestFreeReduce:
 class TestGroupOps:
     def test_concat_cancels(self):
         assert (parse_word("x1", 2) * parse_word("x1^-1", 2)).is_identity()
+        # Total cancellation at the junction, of one or both operands.
+        for left, right in (
+            ("x1 x2^-1 x3^2", "x3^-2 x2 x1^-1"),
+            ("x1 x2", "x2^-1 x1^-1 x3^-1 x2"),
+            ("x3^-1 x2 x1", "x1^-1 x2^-1"),
+        ):
+            u, v = parse_word(left, 3), parse_word(right, 3)
+            assert u * v == Word(u.letters + v.letters, 3)
 
     def test_concat_partial_cancel(self):
         assert parse_word("x1 x2", 3) * parse_word("x2^-1 x3", 3) == parse_word("x1 x3", 3)
+        for left, right in (
+            ("x1 x2 x3", "x3^-1 x2^-1 x1"),
+            ("x1^2 x2^-1", "x2 x1^-1 x3"),  # stops inside a run
+            ("x1", "x2^-1"),  # nothing cancels
+        ):
+            u, v = parse_word(left, 3), parse_word(right, 3)
+            assert u * v == Word(u.letters + v.letters, 3)
 
     def test_identity_law(self):
         word = parse_word("x1 x2^2", 2)
@@ -372,6 +387,13 @@ def test_public_word_keeps_its_checks():
         Word([(3, 1)], 2)
     with pytest.raises(ValueError, match="letter sign must be"):
         Word([(1, 2)], 2)
+    # Letters that cancel are checked too, and the first bad one is reported.
+    with pytest.raises(WordSyntaxError, match="generator index 5 out of range 1..2"):
+        Word([(5, 1), (5, -1)], 2)
+    with pytest.raises(ValueError, match="letter sign must be \\+1 or -1, got 2"):
+        Word([(1, 2), (1, -2)], 2)
+    with pytest.raises(ValueError, match="got 0"):
+        Word([(1, 1), (1, 0), (7, 1), (1, -1)], 2)
     with pytest.raises(ValueError, match="rank must be positive"):
         Word((), 0)
 
