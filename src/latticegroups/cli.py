@@ -15,7 +15,7 @@ import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from .cocycles import Cocycle, canonical_cocycle, cocycle_index
+from .cocycles import Cocycle, _rectangle_edges, canonical_cocycle, cocycle_index
 from .homology import NotACycleError, algebraic_area, decompose_cycle, plaquette_sum_from_json
 from .lattice import evaluate_path
 from .metabelian import MetabelianElement, fox_image
@@ -143,6 +143,15 @@ def _cmd_area(args) -> tuple[str, int]:
 def _cmd_cocycle(args) -> tuple[str, int]:
     g1 = _parse_vector(args.g1)
     g2 = _parse_vector(args.g2)
+    # Each rectangle edge copies a d-tuple, so rank times edges is bounded
+    # like a folded word's rank times length. Differing ranks are left to
+    # canonical_cocycle's own error.
+    if len(g1) == len(g2):
+        edges = _rectangle_edges(g1, g2)
+        if len(g1) * edges > MAX_LETTERS:
+            raise InputTooLargeError(
+                f"rank {len(g1)} times {edges} cocycle edges is more than {MAX_LETTERS}"
+            )
     flow = canonical_cocycle(g1, g2)
     return (flow.as_json() if args.json else _fmt_flow(flow)), 0
 
@@ -208,7 +217,7 @@ def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:
         # A bad line is reported as one marker: argparse's usage text, and the
         # help text of -h, go to a throwaway buffer, not into the results.
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            args = _parser().parse_args(tokens)
+            args = _parse(tokens)
     except SystemExit:
         return None, "bad arguments", 2
     if args.verb == "batch":
@@ -313,10 +322,14 @@ def _add_common(sub, *, d=True, k=False, group=None) -> None:
     sub.add_argument("--json", action="store_true", help="emit one JSON document")
 
 
+# The top-level parser, and its subparser of each verb by name.
+_Parsers = tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]
+
+
 # Each verb's defaults name its handler; main and batch lines look the name up
 # on this module when they run it, so a handler rebound on the module after
 # the parser was built is the one that runs.
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parsers:
     parser = argparse.ArgumentParser(
         prog="latticegroups",
         description="Exact word-problem, homology and cocycle queries for "
@@ -387,24 +400,41 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, k=True, group="metabelian")
     p.set_defaults(handler="_cmd_batch")
 
-    return parser
+    return parser, verbs.choices
 
 
-# The parser of this process: built by the first main call, not at import,
+# The parsers of this process: built by the first main call, not at import,
 # and reused by every later call and batch line.
-_PARSER: argparse.ArgumentParser | None = None
+_PARSER: _Parsers | None = None
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parsers:
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
     return _PARSER
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, parsed once: the top-level parser would
+    classify every token and then hand ``argv[1:]`` to the verb's subparser,
+    which does it again, so a known verb goes to its subparser directly.
+    Everything else (no arguments, a leading option, an unknown verb, or
+    arguments the subparser leaves over) goes to the top-level parser, which
+    writes its own usage, help and error text."""
+    parser, verbs = _parser()
+    sub = verbs.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.verb = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

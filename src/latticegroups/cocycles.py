@@ -89,6 +89,21 @@ def canonical_cocycle(g1: Vector, g2: Vector) -> EdgeFlow:
     return EdgeFlow._of(d, entries)
 
 
+def _rectangle_edges(g1: Vector, g2: Vector) -> int:
+    """The unit edges :func:`canonical_cocycle` emits before any cancel, for
+    vectors of one rank: 2(|g2_i| + |g1_j|) for each rectangle, that is each
+    i < j with g2_i and g1_j nonzero. One pass keeps the count and the
+    summed length of the nonzero g2_i met so far."""
+    edges = count = length = 0
+    for a, b in zip(g1, g2):
+        if a:
+            edges += 2 * (abs(a) * count + length)
+        if b:
+            count += 1
+            length += abs(b)
+    return edges
+
+
 def _run(entries: dict, corner: list[int], index: int, lo: int, hi: int, sign: int) -> None:
     """Add ``sign`` on the edges along axis ``index + 1`` whose coordinate
     ``index`` lies in [lo, hi), the other coordinates taken from ``corner``."""

@@ -126,11 +126,15 @@ def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:
 
     The output is area-sized, not text-sized, so a decomposition with more
     than MAX_LETTERS nonzero plaquettes is refused with InputTooLargeError.
-    In d = 2 the runs are counted before any plaquette is built.
+    In d = 2 the runs are counted before any plaquette is built; for d >= 3
+    a lower bound on the count (:func:`_least_plaquettes`) is checked
+    before the peel.
     """
     if not flow.is_cycle():
         raise NotACycleError("flow has nonzero boundary")
     if flow.d != 2:
+        if _least_plaquettes(flow) > words.MAX_LETTERS:
+            raise _too_many_plaquettes()
         return _peel(flow)
     runs = list(_column_runs(flow))
     if sum(high - low for _, low, high, _ in runs) > words.MAX_LETTERS:
@@ -167,6 +171,35 @@ def _column_runs(flow: EdgeFlow):
             running += coeff
             if running:
                 yield a, b, b_next, running
+
+
+def _least_plaquettes(flow: EdgeFlow) -> int:
+    """At most the count of nonzero plaquettes in any decomposition of a
+    cycle: the sum, over the planes (i, j) of two axes the flow carries, of
+    the count in the unique decomposition of its projection onto (i, j).
+
+    Projection commutes with the boundary. A plaquette of the (i, j) plane
+    projects onto one plaquette of that plane and onto zero in every other
+    plane, so each plane's count is at most the decomposition's count of
+    (i, j) plaquettes (plaquettes that land on the same square merge). The
+    edges are grouped by axis once, and a plane reads only its axis-i
+    edges, all that :func:`_column_runs` reads, so this costs the carried
+    axes times the support.
+    """
+    by_axis: dict[int, list[tuple[Vector, int]]] = {}
+    for (base, axis), coeff in flow._entries.items():
+        by_axis.setdefault(axis, []).append((base, coeff))
+    total = 0
+    for i, edges in by_axis.items():
+        for j in by_axis:
+            if j <= i:
+                continue
+            horizontal: dict[Edge, int] = {}
+            for base, coeff in edges:
+                _accumulate(horizontal, Edge((base[i - 1], base[j - 1]), 1), coeff)
+            runs = _column_runs(EdgeFlow._of(2, horizontal))
+            total += sum(high - low for _, low, high, _ in runs)
+    return total
 
 
 def _peel(flow: EdgeFlow) -> PlaquetteSum:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -161,8 +162,12 @@ HUGE = {
     "heisenberg-rank": ["eval", "--group", "heisenberg", "--d", "200000", "x1^5000"],
     "eq-rank": ["eq", "--group", "metabelian", "--d", "1000000000", "x1", "x1"],
     "decompose-rank": ["decompose", "--d", "1000000000", ""],
-    # 4002 letters whose loop bounds 1000 * 1001 plaquettes.
+    # 4002 letters whose loop bounds 1000 * 1001 plaquettes; in d = 3 the
+    # peel took 19 s to reach the limit.
     "decompose-plaquettes": ["decompose", "--d", "2", "x1^1000 x2^1001 x1^-1000 x2^-1001"],
+    "decompose-plaquettes-d3": ["decompose", "--d", "3", "x1^1000 x2^1001 x1^-1000 x2^-1001"],
+    # 1.6 KB of text asking for 400 * 319200 rectangle edge coordinates.
+    "cocycle-rectangles": ["cocycle", ",".join(["1"] * 400), ",".join(["1"] * 400)],
     "area-rank": ["area", "--d", "200000", "x1^5000"],
     "fox-rank": ["fox", "--d", "1000000000", "x1"],
 }
@@ -175,6 +180,16 @@ def test_huge_input_refused(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_cocycle_rank_times_edges_at_the_limit(monkeypatch, capsys):
+    # Three rectangles of 4 edges each in rank 3: 36 edge coordinates.
+    monkeypatch.setattr(cli, "MAX_LETTERS", 36)
+    assert main(["cocycle", "1,1,1", "1,1,1"]) == 0
+    monkeypatch.setattr(cli, "MAX_LETTERS", 35)
+    assert main(["cocycle", "1,1,1", "1,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: rank 3 times 12 cocycle edges is more than 35\n"
 
 
 def test_rank_at_the_bound_costs_linear_time(capsys):
@@ -343,6 +358,61 @@ REUSE_LINES = [
     'area --d 2 "x1 x2"',
     'area --d 2 "x1 x2 x1^-1 x2^-1"',
 ]
+
+
+# Where a verb's own subparser could read argv otherwise than the full
+# parser does: leftover arguments, abbreviated and "=" options, "--" before a
+# word led by "-", vectors that look like negative numbers, repeated options,
+# help after the positionals, no verb, a leading option, a verb's wrong case.
+PARSE_CASES = [shlex.split(line) for line in REUSE_LINES] + [
+    ["reduce", "x1", "x2"],
+    ["area", "--d", "2", "x1", "--bogus"],
+    ["eval", "--gr", "abelian", "--js", "x1"],
+    ["eval", "--d=3", "--group=abelian", "x1"],
+    ["reduce", "--", "-x1"],
+    ["cocycle", "-1,3", "-2,0"],
+    ["eval", "--group", "free", "--group", "abelian", "--d", "2", "--d", "3", "x1"],
+    ["eq", "--group", "free", "x1", "x2", "-h"],
+    [],
+    ["--help"],
+    ["Reduce", "x1"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """The Namespace, or the SystemExit code, with what was written."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=[shlex.join(argv) or "none" for argv in PARSE_CASES])
+def test_parse_matches_full_parser(argv):
+    parser, _ = cli._parser()
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(parser.parse_args, argv)
+
+
+def test_batch_parses_each_line_once(tmp_path, monkeypatch, capsys):
+    # The call's argv and each good line take one parse_known_args each; the
+    # full parser takes two, its own and its verb's.
+    lines = ['reduce "x1 x1^-1 x2"', "cocycle -1,3 2,0", "beta --k 2", "eq --group free x1 x1"]
+    commands = tmp_path / "commands.txt"
+    commands.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(["batch", str(commands)]) == 0
+    assert "error" not in capsys.readouterr().out
+    assert len(calls) == len(lines) + 1
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])

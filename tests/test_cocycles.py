@@ -27,6 +27,7 @@ from latticegroups import (
     vec_add,
     vec_neg,
 )
+from latticegroups import cocycles
 from helpers import random_loop_flow
 
 
@@ -150,6 +151,24 @@ class TestCanonicalCocycle:
     def test_rectangle_form_matches_monomial_reference(self, pair):
         g1, g2 = pair
         assert canonical_cocycle(g1, g2) == monomial_cocycle(g1, g2)
+
+    def test_rectangle_edges_count_the_emitted_edges(self, monkeypatch):
+        # The CLI bounds rank times this count before anything is emitted.
+        emitted = []
+        accumulate = cocycles._accumulate
+
+        def counting(entries, key, coeff):
+            emitted.append(key)
+            accumulate(entries, key, coeff)
+
+        monkeypatch.setattr(cocycles, "_accumulate", counting)
+        rng = random.Random(71)
+        for _ in range(200):
+            d = rng.randint(1, 5)
+            g1, g2 = random_vec(rng, d=d), random_vec(rng, d=d)
+            emitted.clear()
+            canonical_cocycle(g1, g2)
+            assert cocycles._rectangle_edges(g1, g2) == len(emitted)
 
     def test_rank_checks(self):
         with pytest.raises(ValueError, match="rank must be positive"):

@@ -21,7 +21,7 @@ from latticegroups import (
     project_flow,
 )
 from latticegroups import words
-from latticegroups.homology import _peel
+from latticegroups.homology import _least_plaquettes, _peel
 from latticegroups.lattice import _accumulate
 from helpers import flow_of, random_loop_flow, random_loop_word, random_word, shuffled_copy, w
 
@@ -266,6 +266,25 @@ class TestPlaquetteLimit:
         with pytest.raises(InputTooLargeError):
             decompose_cycle(flow_of("x1^1000 x2^1001 x1^-1000 x2^-1001"))
         assert built == []
+
+
+    def test_d3_count_comes_before_any_plaquette(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(Plaquette, "_of", classmethod(lambda cls, *key: built.append(key)))
+        with pytest.raises(InputTooLargeError):
+            decompose_cycle(flow_of("x1^1000 x2^1001 x1^-1000 x2^-1001", d=3))
+        assert built == []
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_d3_bound_never_passes_the_peel(self, d):
+        # The bound refuses only what the peel would refuse: it is at most
+        # the peel's count, and equal to it for a loop in one plane.
+        rng = random.Random(61 + d)
+        for _ in range(150):
+            flow = random_loop_flow(rng, d, 25)
+            assert _least_plaquettes(flow) <= len(decompose_cycle(flow))
+        flow = flow_of("x1^2 x3^3 x1^-2 x3^-3", d=d)
+        assert _least_plaquettes(flow) == len(decompose_cycle(flow)) == 6
 
 
 class TestProjection:
