@@ -20,8 +20,8 @@ from .homology import NotACycleError, algebraic_area, decompose_cycle, plaquette
 from .lattice import evaluate_path
 from .metabelian import MetabelianElement, fox_image
 from .nilpotent import HeisenbergElement
-from .words import MAX_LETTERS, InputTooLargeError, RankMismatchError, WordSyntaxError, parse_word
-from . import satellite
+from .words import InputTooLargeError, RankMismatchError, WordSyntaxError, parse_word
+from . import satellite, words
 
 SUBGROUPS = ("N", "M", "commutant")
 
@@ -45,8 +45,8 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     except ValueError:  # also a part with more digits than int() reads
         raise ValueError(f"bad vector {text!r}; expected comma-separated integers") from None
     # The L1 norm is the length of the vector's monomial path.
-    if sum(map(abs, vec)) > MAX_LETTERS:
-        raise InputTooLargeError(f"vector {text!r} is longer than {MAX_LETTERS} unit steps")
+    if sum(map(abs, vec)) > words.MAX_LETTERS:
+        raise InputTooLargeError(f"vector {text!r} is longer than {words.MAX_LETTERS} unit steps")
     return vec
 
 
@@ -55,9 +55,9 @@ def _parse_folded(text: str, args):
     fold copies a d-tuple, so rank times length is bounded like a word's
     length."""
     word = parse_word(text, args.d)
-    if args.d * max(1, len(word)) > MAX_LETTERS:
+    if args.d * max(1, len(word)) > words.MAX_LETTERS:
         raise InputTooLargeError(
-            f"rank {args.d} times word length {len(word)} is more than {MAX_LETTERS}"
+            f"rank {args.d} times word length {len(word)} is more than {words.MAX_LETTERS}"
         )
     return word
 
@@ -148,9 +148,9 @@ def _cmd_cocycle(args) -> tuple[str, int]:
     # canonical_cocycle's own error.
     if len(g1) == len(g2):
         edges = _rectangle_edges(g1, g2)
-        if len(g1) * edges > MAX_LETTERS:
+        if len(g1) * edges > words.MAX_LETTERS:
             raise InputTooLargeError(
-                f"rank {len(g1)} times {edges} cocycle edges is more than {MAX_LETTERS}"
+                f"rank {len(g1)} times {edges} cocycle edges is more than {words.MAX_LETTERS}"
             )
     flow = canonical_cocycle(g1, g2)
     return (flow.as_json() if args.json else _fmt_flow(flow)), 0
@@ -162,7 +162,10 @@ def _int_list(value) -> bool:
 
 def _load_perturbation(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:  # nested deeper than the parser goes: refused below
+            data = None
     if not isinstance(data, list) or not all(
         isinstance(item, dict)
         and _int_list(item.get("vertex"))

@@ -33,7 +33,11 @@ from .words import GroupElement, Letter, RankMismatchError, Word, commutator
 
 
 class MetabelianElement(GroupElement):
-    """Group element as (abelianized endpoint, net edge flow of any representing path)."""
+    """Group element as (abelianized endpoint, net edge flow of any representing path).
+
+    Trusted input: ``endpoint`` is a tuple of ints and ``flow`` runs from
+    the origin to ``endpoint``.
+    """
 
     __slots__ = ("endpoint", "flow")
 
@@ -48,15 +52,6 @@ class MetabelianElement(GroupElement):
             raise ValueError("flow boundary does not match the endpoint")
         self.endpoint = endpoint
         self.flow = flow
-
-    @classmethod
-    def _of(cls, endpoint: Vector, flow: EdgeFlow) -> "MetabelianElement":
-        """Trusted constructor for results that are valid by construction:
-        ``endpoint`` is a tuple and ``flow`` a flow from the origin to it."""
-        elem = object.__new__(cls)
-        elem.endpoint = endpoint
-        elem.flow = flow
-        return elem
 
     @property
     def d(self) -> int:
@@ -92,13 +87,6 @@ class MetabelianElement(GroupElement):
 
     def is_identity(self) -> bool:
         return not self.flow and all(coord == 0 for coord in self.endpoint)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MetabelianElement)
-            and self.endpoint == other.endpoint
-            and self.flow == other.flow
-        )
 
     def __repr__(self) -> str:
         return f"MetabelianElement(endpoint={self.endpoint}, flow={self.flow!r})"

@@ -9,13 +9,18 @@ coordinate-plane projections of the path.
 from __future__ import annotations
 
 from operator import index
+from typing import Mapping
 
-from .lattice import Vector, _accumulate, _json_ints, vec_add
+from .lattice import Vector, _accumulate, _json_ints, vec_add, vec_neg
 from .words import GroupElement, RankMismatchError, Word
 
 
 class HeisenbergElement(GroupElement):
-    """Element as (endpoint, strictly upper-triangular integer area matrix)."""
+    """Element as (endpoint, strictly upper-triangular integer area matrix).
+
+    Trusted input: ``endpoint`` is a tuple of ints and ``_areas`` maps pairs
+    (i, j) with 1 <= i < j <= d to nonzero ints.
+    """
 
     __slots__ = ("endpoint", "_areas")
 
@@ -23,7 +28,7 @@ class HeisenbergElement(GroupElement):
         endpoint = tuple(map(index, endpoint))
         d = len(endpoint)
         entries: dict[tuple[int, int], int] = {}
-        pairs = areas.items() if isinstance(areas, dict) else areas
+        pairs = areas.items() if isinstance(areas, Mapping) else areas
         for (i, j), value in pairs:
             i, j = index(i), index(j)
             if not 1 <= i < j <= d:
@@ -51,7 +56,7 @@ class HeisenbergElement(GroupElement):
                 if position[i - 1]:
                     _accumulate(areas, (i, axis), position[i - 1] * sign)
             position[axis - 1] += sign
-        return cls(tuple(position), areas)
+        return cls._of(tuple(position), areas)
 
     def area(self, i: int, j: int) -> int:
         return self._areas.get((i, j), 0)
@@ -67,32 +72,17 @@ class HeisenbergElement(GroupElement):
         entries = dict(self._areas)
         for key, value in other._areas.items():
             _accumulate(entries, key, value)
-        for j in range(2, self.d + 1):
-            if other.endpoint[j - 1]:
-                for i in range(1, j):
-                    _accumulate(entries, (i, j), self.endpoint[i - 1] * other.endpoint[j - 1])
-        return HeisenbergElement(vec_add(self.endpoint, other.endpoint), entries)
+        _add_products(entries, self.endpoint, other.endpoint)
+        return HeisenbergElement._of(vec_add(self.endpoint, other.endpoint), entries)
 
     def inverse(self) -> "HeisenbergElement":
         v = self.endpoint
-        entries: dict[tuple[int, int], int] = {}
-        for (i, j), value in self._areas.items():
-            _accumulate(entries, (i, j), -value)
-        for j in range(2, self.d + 1):
-            if v[j - 1]:
-                for i in range(1, j):
-                    _accumulate(entries, (i, j), v[i - 1] * v[j - 1])
-        return HeisenbergElement(tuple(-c for c in v), entries)
+        entries = {key: -value for key, value in self._areas.items()}
+        _add_products(entries, v, v)
+        return HeisenbergElement._of(vec_neg(v), entries)
 
     def is_identity(self) -> bool:
         return not self._areas and all(coord == 0 for coord in self.endpoint)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HeisenbergElement)
-            and self.endpoint == other.endpoint
-            and self._areas == other._areas
-        )
 
     def __repr__(self) -> str:
         return f"HeisenbergElement(endpoint={self.endpoint}, areas={dict(self.areas())!r})"
@@ -102,6 +92,14 @@ class HeisenbergElement(GroupElement):
         ``{"areas":[{"i":i,"j":j,"value":v},...],"endpoint":[...]}``."""
         rows = ['{"i":%d,"j":%d,"value":%d}' % (i, j, value) for (i, j), value in self.areas()]
         return '{"areas":[' + ",".join(rows) + '],"endpoint":' + _json_ints(self.endpoint) + "}"
+
+
+def _add_products(entries: dict, u: Vector, w: Vector) -> None:
+    """Add u_i * w_j to every area entry (i, j) with i < j."""
+    for j in range(2, len(u) + 1):
+        if w[j - 1]:
+            for i in range(1, j):
+                _accumulate(entries, (i, j), u[i - 1] * w[j - 1])
 
 
 def word_is_trivial(word: Word) -> bool:

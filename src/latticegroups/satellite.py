@@ -38,7 +38,11 @@ def _in_level_multiples(n: int, k: int) -> bool:
 
 
 class SatelliteElement(GroupElement):
-    """Element of the level-k extension: (level, Z^2 vector, planar cycle)."""
+    """Element of the level-k extension: (level, Z^2 vector, planar cycle).
+
+    Trusted input: ``k`` is an int, ``vec`` a pair of ints and ``cycle`` a
+    rank-2 cycle.
+    """
 
     __slots__ = ("k", "vec", "cycle")
 
@@ -51,16 +55,6 @@ class SatelliteElement(GroupElement):
         self.k = index(k)
         self.vec = vec
         self.cycle = cycle
-
-    @classmethod
-    def _of(cls, k: int, vec: Vector, cycle: EdgeFlow) -> "SatelliteElement":
-        """Trusted constructor for results that are valid by construction:
-        ``vec`` is a pair and ``cycle`` a rank-2 cycle."""
-        elem = object.__new__(cls)
-        elem.k = k
-        elem.vec = vec
-        elem.cycle = cycle
-        return elem
 
     @classmethod
     def identity(cls, k: int) -> "SatelliteElement":
@@ -103,14 +97,6 @@ class SatelliteElement(GroupElement):
         """Membership in the commutator subgroup: trivial shift part and
         algebraic area a multiple of k."""
         return self.in_N() and _in_level_multiples(algebraic_area(self.cycle), self.k)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SatelliteElement)
-            and self.k == other.k
-            and self.vec == other.vec
-            and self.cycle == other.cycle
-        )
 
     def __repr__(self) -> str:
         return f"SatelliteElement(k={self.k}, vec={self.vec}, cycle={self.cycle!r})"

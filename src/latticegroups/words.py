@@ -73,9 +73,35 @@ def free_reduce(letters: Iterable, table: dict[Letter, int] | None = None) -> tu
 
 
 class GroupElement:
-    """Operations every group element derives from its ``*`` and ``inverse()``."""
+    """An immutable group element, and the operations it derives from its
+    ``*`` and ``inverse()``.
+
+    A concrete element type names all its fields in its own ``__slots__``.
+    Two elements are equal when they have the same concrete type and equal
+    fields, and ``_of`` builds one from its fields without a check. Elements
+    are not hashable unless their type defines ``__hash__``.
+    """
 
     __slots__ = ()
+
+    @classmethod
+    def _of(cls, *fields):
+        """Trusted constructor for results that are valid by construction:
+        adopts ``fields`` in ``__slots__`` order, without a copy or a check.
+        Each type's docstring says what its fields must satisfy."""
+        elem = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(elem, name, value)
+        return elem
+
+    def __eq__(self, other: object) -> bool:
+        # A loop, not all() of a generator, which would triple its cost.
+        if type(other) is not type(self):
+            return False
+        for name in self.__slots__:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
 
     def __pow__(self, n: int):
         """``g ** n`` by repeated squaring; ``g ** 0`` is ``g * g.inverse()``."""
@@ -103,7 +129,9 @@ class Word(GroupElement):
     """A freely reduced word over generators ``x1 .. xd``.
 
     Instances are immutable values; the constructor reduces its input, so
-    every Word is a normal form in the free group of rank ``d``.
+    every Word is a normal form in the free group of rank ``d``. Trusted
+    input: ``letters`` is a freely reduced tuple of Letters on axes 1..d,
+    and ``d`` is positive.
     """
 
     __slots__ = ("letters", "d")
@@ -120,16 +148,6 @@ class Word(GroupElement):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         self.letters = free_reduce(letters)
         self.d = d
-
-    @classmethod
-    def _of(cls, letters: tuple[Letter, ...], d: int) -> "Word":
-        """Trusted constructor for results that are valid by construction:
-        ``letters`` is a freely reduced tuple of Letters on axes 1..d, and
-        ``d`` is positive."""
-        word = object.__new__(cls)
-        word.letters = letters
-        word.d = d
-        return word
 
     @classmethod
     def identity(cls, d: int) -> "Word":
@@ -158,13 +176,6 @@ class Word(GroupElement):
 
     def inverse(self) -> "Word":
         return ~self
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Word)
-            and self.d == other.d
-            and self.letters == other.letters
-        )
 
     def __hash__(self) -> int:
         return hash((self.letters, self.d))

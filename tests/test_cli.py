@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from latticegroups import MetabelianElement, cli, parse_word
+from latticegroups import MetabelianElement, cli, parse_word, words
 from latticegroups.cli import REGISTRY, SUBGROUPS, main
 
 HERE = Path(__file__).parent
@@ -115,6 +115,26 @@ def test_beta_rejects_malformed_perturbation(name, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_nested_perturbation_is_a_bad_file(tmp_path, capsys):
+    # Nested past the JSON parser's recursion limit.
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 10**5 + "]" * 10**5, encoding="utf-8")
+    assert main(["beta", "--k", "2", "--perturb", str(nested)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad perturbation file {str(nested)!r}")
+    assert captured.err.count("\n") == 1
+
+    commands = tmp_path / "commands.txt"
+    commands.write_text(f"beta --k 2\nbeta --k 2 --perturb {nested}\nreduce --d 2 x1\n", encoding="utf-8")
+    assert main(["batch", str(commands)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [lines[0], lines[2]] == ["2", "x1"]
+    assert lines[1].startswith(f"error: bad perturbation file {str(nested)!r}")
+    assert len(lines) == 3 and captured.err == ""
+
+
 def test_batch_unclosed_quote_marks_only_its_line(capsys):
     assert main(["batch", BATCH_UNCLOSED_QUOTE]) == 0
     assert capsys.readouterr().out == "x1\nerror: No closing quotation\nx2\n"
@@ -184,9 +204,9 @@ def test_huge_input_refused(argv, capsys):
 
 def test_cocycle_rank_times_edges_at_the_limit(monkeypatch, capsys):
     # Three rectangles of 4 edges each in rank 3: 36 edge coordinates.
-    monkeypatch.setattr(cli, "MAX_LETTERS", 36)
+    monkeypatch.setattr(words, "MAX_LETTERS", 36)
     assert main(["cocycle", "1,1,1", "1,1,1"]) == 0
-    monkeypatch.setattr(cli, "MAX_LETTERS", 35)
+    monkeypatch.setattr(words, "MAX_LETTERS", 35)
     assert main(["cocycle", "1,1,1", "1,1,1"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: rank 3 times 12 cocycle edges is more than 35\n"

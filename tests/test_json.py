@@ -1,6 +1,8 @@
 """Each type's as_json() text against json.dumps of the structure it encodes,
 and the integer reading of the public constructors whose values it prints."""
 
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,6 +133,7 @@ INTEGER_SLOTS = {
     "Heisenberg-endpoint": lambda n: HeisenbergElement((n, 2)),
     "Heisenberg-i": lambda n: HeisenbergElement((0, 0), {(n, 2): 3}),
     "Heisenberg-area": lambda n: HeisenbergElement((0, 0), {(1, 2): n}),
+    "Heisenberg-mapping": lambda n: HeisenbergElement((0, 0), MappingProxyType({(1, 2): n})),
     "Satellite-vec": lambda n: SatelliteElement(1, (n, 0), EdgeFlow(2)),
     "Satellite-k": lambda n: SatelliteElement(n, (0, 0), EdgeFlow(2)),
     "PathEvaluation-endpoint": lambda n: PathEvaluation((n, 0), EdgeFlow(2)),

@@ -1,10 +1,12 @@
 import random
 import re
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latticegroups import (
+    EdgeFlow,
     HeisenbergElement,
     InputTooLargeError,
     Letter,
@@ -472,3 +474,47 @@ class TestGroupElementProtocol:
         for _ in range(15):
             a, b = make(rng), make(rng)
             assert commutator(a, b) == a * b * a.inverse() * b.inverse()
+
+
+# kind -> builds (the checked constructor's value, the same value's fields in slot order)
+_UNIT_SQUARE = [(((0, 0), 1), 1), (((1, 0), 2), 1), (((0, 1), 1), -1), (((0, 0), 2), -1)]
+VALUES = {
+    "word": lambda: (Word([(1, 1), (2, -1), (2, 1), (3, 1)], 3), ((Letter(1, 1), Letter(3, 1)), 3)),
+    "metabelian": lambda: (
+        MetabelianElement((1, 0), EdgeFlow(2, [(((0, 0), 1), 1)])),
+        ((1, 0), EdgeFlow(2, [(((0, 0), 1), 1)])),
+    ),
+    "heisenberg": lambda: (
+        HeisenbergElement((1, 2, 0), MappingProxyType({(1, 2): 3, (1, 3): 0})),
+        ((1, 2, 0), {(1, 2): 3}),
+    ),
+    "satellite": lambda: (
+        SatelliteElement(3, (1, 0), EdgeFlow(2, _UNIT_SQUARE)),
+        (3, (1, 0), EdgeFlow(2, _UNIT_SQUARE)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(VALUES))
+def test_elements_are_values(kind):
+    checked, fields = VALUES[kind]()
+    cls = type(checked)
+    trusted = cls._of(*fields)
+    assert trusted == checked and not trusted != checked
+    assert [getattr(trusted, name) for name in cls.__slots__] == list(fields)
+
+    # Equal fields under another type, or as a plain tuple, are a different value.
+    twin = type("Twin", (words.GroupElement,), {"__slots__": cls.__slots__})
+    others = [twin._of(*fields), fields]
+    for build in VALUES.values():
+        other_cls = type(build()[0])
+        if other_cls is not cls and len(other_cls.__slots__) == len(fields):
+            others.append(other_cls._of(*fields))
+    for other in others:
+        assert trusted != other and other != trusted
+
+    if cls is Word:
+        assert hash(trusted) == hash(checked)
+    else:
+        with pytest.raises(TypeError):
+            hash(trusted)
