@@ -20,7 +20,15 @@ from .homology import NotACycleError, algebraic_area, decompose_cycle, plaquette
 from .lattice import evaluate_path
 from .metabelian import MetabelianElement, fox_image
 from .nilpotent import HeisenbergElement
-from .words import InputTooLargeError, RankMismatchError, WordSyntaxError, parse_word
+from .words import (
+    InputTooLargeError,
+    RankMismatchError,
+    Word,
+    WordSyntaxError,
+    equal_images,
+    parse_letters,
+    parse_word,
+)
 from . import satellite, words
 
 SUBGROUPS = ("N", "M", "commutant")
@@ -82,33 +90,40 @@ def _fmt_areas(elem) -> str:
     return "[" + ", ".join(f"({i},{j}):{value:+d}" for (i, j), value in elem.areas()) + "]"
 
 
-# group -> (evaluate(text, args), human(value), json(value)). eval prints one
-# evaluated value, as human text or as its JSON text; eq compares two with
-# ==. The lambdas look names up at call time, so a function rebound on its
-# module (as perfbench's tracer does) is the one they call.
+# group -> (read(text, args) -> Word, fold(word, args) -> value, human(value),
+# json(value)). Every fold is a homomorphism out of the free group. eval
+# prints the fold of one word, as human text or as its JSON text; eq folds
+# only the freely reduced quotient u^-1 v of its two words. The lambdas look
+# names up at call time, so a function rebound on its module (as perfbench's
+# tracer does) is the one they call.
 REGISTRY = {
     "free": (
         lambda text, args: parse_word(text, args.d),
+        lambda word, args: word,
         str,
         lambda word: _dumps({"word": str(word)}),
     ),
     "abelian": (
-        lambda text, args: evaluate_path(_parse_folded(text, args)).endpoint,
+        _parse_folded,
+        lambda word, args: evaluate_path(word).endpoint,
         _fmt_vec,
         lambda endpoint: _dumps({"endpoint": list(endpoint)}),
     ),
     "heisenberg": (
-        lambda text, args: HeisenbergElement.from_word(_parse_folded(text, args)),
+        _parse_folded,
+        lambda word, args: HeisenbergElement.from_word(word),
         lambda elem: f"endpoint={_fmt_vec(elem.endpoint)} areas={_fmt_areas(elem)}",
         lambda elem: elem.as_json(),
     ),
     "metabelian": (
-        lambda text, args: MetabelianElement.from_word(_parse_folded(text, args)),
+        _parse_folded,
+        lambda word, args: MetabelianElement.from_word(word),
         lambda elem: f"endpoint={_fmt_vec(elem.endpoint)} flow={_fmt_flow(elem.flow)}",
         lambda elem: elem.as_json(),
     ),
     "satellite": (
-        lambda text, args: satellite.from_word(text, args.k),
+        lambda text, args: Word(parse_letters(text, satellite.GENERATOR_NAMES), 3),
+        lambda word, args: satellite.from_word(word.letters, args.k),
         lambda elem: f"k={elem.k} vec={_fmt_vec(elem.vec)} cycle={_fmt_flow(elem.cycle)}",
         lambda elem: elem.as_json(),
     ),
@@ -116,14 +131,16 @@ REGISTRY = {
 
 
 def _cmd_eval(args) -> tuple[str, int]:
-    evaluate, human, as_json = REGISTRY[args.group]
-    value = evaluate(args.word, args)
+    read, fold, human, as_json = REGISTRY[args.group]
+    value = fold(read(args.word, args), args)
     return (as_json(value) if args.json else human(value)), 0
 
 
 def _cmd_eq(args) -> tuple[str, int]:
-    evaluate = REGISTRY[args.group][0]
-    equal = evaluate(args.word1, args) == evaluate(args.word2, args)
+    read, fold = REGISTRY[args.group][:2]
+    # Both words are read, and checked, before either is folded.
+    u, v = read(args.word1, args), read(args.word2, args)
+    equal = equal_images(lambda word: fold(word, args), u, v)
     verdict = "equal" if equal else "unequal"
     return (_dumps({"verdict": verdict}) if args.json else verdict), (0 if equal else 1)
 
@@ -164,7 +181,9 @@ def _load_perturbation(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except RecursionError:  # nested deeper than the parser goes: refused below
+        # Not UTF-8, not JSON, or nested deeper than the parser goes: refused
+        # below. UnicodeDecodeError and JSONDecodeError are ValueErrors.
+        except (ValueError, RecursionError):
             data = None
     if not isinstance(data, list) or not all(
         isinstance(item, dict)

@@ -29,7 +29,7 @@ from .lattice import (
     vec_add,
     vec_neg,
 )
-from .words import GroupElement, Letter, RankMismatchError, Word, commutator
+from .words import GroupElement, Letter, RankMismatchError, Word, commutator, equal_images
 
 
 class MetabelianElement(GroupElement):
@@ -117,7 +117,7 @@ def word_problem(w1: Word, w2: Word) -> bool:
     """Whether two free-group words represent the same metabelian element."""
     if w1.d != w2.d:
         raise RankMismatchError(f"word ranks differ: {w1.d} vs {w2.d}")
-    return MetabelianElement.from_word(w1) == MetabelianElement.from_word(w2)
+    return equal_images(MetabelianElement.from_word, w1, w2)
 
 
 # --- matrix embedding oracle ------------------------------------------------

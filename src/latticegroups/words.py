@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from itertools import groupby
+from itertools import compress, count, groupby
+from operator import ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -76,21 +77,32 @@ class GroupElement:
     """An immutable group element, and the operations it derives from its
     ``*`` and ``inverse()``.
 
-    A concrete element type names all its fields in its own ``__slots__``.
-    Two elements are equal when they have the same concrete type and equal
-    fields, and ``_of`` builds one from its fields without a check. Elements
-    are not hashable unless their type defines ``__hash__``.
+    A concrete element type's fields are the ``__slots__`` of its classes,
+    the base's first, collected once when the class is created. Two elements
+    are equal when they have the same concrete type and equal fields, and
+    ``_of`` builds one from its fields without a check. Elements are not
+    hashable unless their type defines ``__hash__``.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = []
+        for klass in reversed(cls.__mro__):
+            slots = vars(klass).get("__slots__", ())
+            names = (slots,) if isinstance(slots, str) else slots
+            fields += [name for name in names if name not in ("__dict__", "__weakref__")]
+        cls._fields = tuple(fields)
 
     @classmethod
     def _of(cls, *fields):
         """Trusted constructor for results that are valid by construction:
-        adopts ``fields`` in ``__slots__`` order, without a copy or a check.
+        adopts ``fields`` in ``_fields`` order, without a copy or a check.
         Each type's docstring says what its fields must satisfy."""
         elem = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
+        for name, value in zip(cls._fields, fields):
             setattr(elem, name, value)
         return elem
 
@@ -98,7 +110,7 @@ class GroupElement:
         # A loop, not all() of a generator, which would triple its cost.
         if type(other) is not type(self):
             return False
-        for name in self.__slots__:
+        for name in self._fields:
             if getattr(self, name) != getattr(other, name):
                 return False
         return True
@@ -118,6 +130,19 @@ class GroupElement:
 
     def conjugated_by(self, g):
         return g * self * g.inverse()
+
+
+class _Inverses(dict):
+    """A table from each letter met to its inverse, filled on first use: one
+    per call, so mapping a word through ``__getitem__`` runs in C and builds
+    one inverse per distinct letter."""
+
+    __slots__ = ()
+
+    def __missing__(self, letter):
+        axis, sign = letter
+        self[letter] = inverse = _new(Letter, (axis, -sign))
+        return inverse
 
 
 def commutator(a, b):
@@ -161,18 +186,23 @@ class Word(GroupElement):
             return NotImplemented
         if self.d != other.d:
             raise RankMismatchError(f"cannot concatenate ranks {self.d} and {other.d}")
-        # Both operands are reduced, so letters cancel only at the junction.
+        # Both operands are reduced, so letters cancel only at the junction:
+        # as far as the right letters invert the left ones read backwards.
+        # Most products cancel none; otherwise the first pair that does not
+        # cancel is found in C.
         left, right = self.letters, other.letters
-        cancelled = 0
-        for (axis, sign), (next_axis, next_sign) in zip(reversed(left), right):
-            if axis != next_axis or sign != -next_sign:
-                break
-            cancelled += 1
-        return Word._of(left[: len(left) - cancelled] + right[cancelled:], self.d)
+        if left and right and left[-1] == (right[0][0], -right[0][1]):
+            inverse = _Inverses().__getitem__
+            mismatches = compress(count(), map(ne, reversed(left), map(inverse, right)))
+            cancelled = next(mismatches, min(len(left), len(right)))
+            left, right = left[: len(left) - cancelled], right[cancelled:]
+        return Word._of(left + right, self.d)
 
     def __invert__(self) -> "Word":
-        # The inverse of a reduced word is reduced.
-        return Word._of(tuple(letter.inverse() for letter in reversed(self.letters)), self.d)
+        # The inverse of a reduced word is reduced. Through a list, as in
+        # free_reduce: tuple() of a map grows by resizing.
+        inverse = _Inverses().__getitem__
+        return Word._of(tuple(list(map(inverse, reversed(self.letters)))), self.d)
 
     def inverse(self) -> "Word":
         return ~self
@@ -198,6 +228,17 @@ class Word(GroupElement):
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r}, d={self.d})"
+
+
+def equal_images(fold: Callable[[Word], object], u: Word, v: Word) -> bool:
+    """Whether ``fold``, a homomorphism out of the free group, maps ``u`` and
+    ``v`` to the same value.
+
+    That holds exactly when it maps ``u^-1 v`` to the image of the empty
+    word. Free reduction of ``u^-1 v`` cancels the prefix the two words
+    share, so ``fold`` reads only where they differ.
+    """
+    return fold(~u * v) == fold(Word._of((), u.d))
 
 
 _EXPONENT_RE = re.compile(r"[+-]?\d+")

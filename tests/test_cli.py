@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from latticegroups import MetabelianElement, cli, parse_word, words
+from latticegroups import MetabelianElement, cli, lattice, parse_word, words
 from latticegroups.cli import REGISTRY, SUBGROUPS, main
 
 HERE = Path(__file__).parent
@@ -106,6 +106,132 @@ def test_eq_word_with_itself(group, capsys):
         assert capsys.readouterr().out == "equal\n"
 
 
+def _inverse_text(text):
+    """The text of the inverse of a word written with unit-exponent tokens."""
+    tokens = text.split()
+    return " ".join(
+        name if caret else f"{name}^-1"
+        for name, caret, _ in (token.partition("^") for token in reversed(tokens))
+    )
+
+
+# group -> (generator names, a relator of the group that the free group does
+# not kill, or for the free group a freely trivial word)
+RELATORS = {
+    "free": (("x1", "x2", "x3"), "x1 x2 x2^-1 x1^-1"),
+    "abelian": (("x1", "x2", "x3"), "x1 x2 x1^-1 x2^-1"),
+    # [[x1, x2], x1]: a double commutator, trivial in the 2-step nilpotent group.
+    "heisenberg": (("x1", "x2", "x3"), "x1 x2 x1^-1 x2^-1 x1 x2 x1 x2^-1 x1^-1 x1^-1"),
+    # [[x1, x2], [x3, x1]]: a commutator of commutators.
+    "metabelian": (
+        ("x1", "x2", "x3"),
+        "x1 x2 x1^-1 x2^-1 x3 x1 x3^-1 x1^-1 x2 x1 x2^-1 x1^-1 x1 x3 x1^-1 x3^-1",
+    ),
+    "satellite": (("x", "y", "z"), None),  # [x, y] z^-k, built per level
+}
+
+
+def _unit_text(rng, names, length):
+    return " ".join(rng.choice(names) + rng.choice(("", "^-1")) for _ in range(length))
+
+
+def _pairs(rng, group, k):
+    names, relator = RELATORS[group]
+    if relator is None:
+        relator = "x y x^-1 y^-1" + (f" z^{-k}" if k else "")
+    for _ in range(6):
+        word = _unit_text(rng, names, rng.randint(0, 12))
+        c, c2 = (_unit_text(rng, names, rng.randint(1, 4)) for _ in range(2))
+        yield word, f"{word} {relator}"
+        yield f"{word} {relator}", word
+        yield f"{word} {c}", f"{word} {c2}"
+        yield _unit_text(rng, names, rng.randint(0, 8)), _unit_text(rng, names, rng.randint(0, 8))
+        yield word, word
+        yield word, f"{word} {_inverse_text(word)}"  # word2 reduces to the identity
+        yield word, _inverse_text(word)
+
+
+# Every group in the registry, satellite at each level from -2 to 3.
+EQ_ORACLE_CASES = [(group, 1) for group in REGISTRY if group != "satellite"] + [
+    ("satellite", k) for k in range(-2, 4)
+]
+
+
+@pytest.mark.parametrize("group,k", EQ_ORACLE_CASES, ids=[f"{g}-k{k}" for g, k in EQ_ORACLE_CASES])
+def test_eq_verdict_is_equality_of_eval(group, k, capsys):
+    # eq folds the quotient u^-1 v; eval folds each word on its own.
+    rng = random.Random(f"eq-oracle-{group}-{k}")
+    flags = ["--group", group, "--d", "3", "--k", str(k)]
+    verdicts = set()
+    for word1, word2 in _pairs(rng, group, k):
+        outputs = []
+        for word in (word1, word2):
+            assert main(["eval", *flags, "--json", word]) == 0
+            outputs.append(capsys.readouterr().out)
+        code = main(["eq", *flags, "--json", word1, word2])
+        verdict = "equal" if outputs[0] == outputs[1] else "unequal"
+        assert (code, capsys.readouterr().out) == (
+            0 if verdict == "equal" else 1,
+            f'{{"verdict":"{verdict}"}}\n',
+        ), (word1, word2)
+        verdicts.add(verdict)
+    assert verdicts == {"equal", "unequal"}
+
+
+@pytest.mark.parametrize("group", ["abelian", "metabelian"])
+def test_eq_folds_only_the_difference(group, monkeypatch, capsys):
+    rng = random.Random(f"eq-cost-{group}")
+    tokens = ["x1"]
+    while len(tokens) < 10**4:  # a reduced word: no token follows its inverse
+        token = rng.choice(("x1", "x2", "x3")) + rng.choice(("", "^-1"))
+        if token != _inverse_text(tokens[-1]):
+            tokens.append(token)
+    word = " ".join(tokens)
+    assert len(parse_word(word, 3)) == 10**4
+    comm = "x1 x2 x1^-1 x2^-1"
+    folded = []
+    evaluate_letters = lattice.evaluate_letters
+
+    def counting(letters, d):
+        letters = list(letters)
+        folded.append(len(letters))
+        return evaluate_letters(letters, d)
+
+    monkeypatch.setattr(lattice, "evaluate_letters", counting)
+    assert main(["eq", "--group", group, "--d", "3", word, f"{word} {comm}"]) == (
+        0 if group == "abelian" else 1
+    )
+    assert capsys.readouterr().out == ("equal\n" if group == "abelian" else "unequal\n")
+    assert folded and sum(folded) <= len(comm.split()) + 2
+
+
+@pytest.mark.parametrize("group", [group for group in REGISTRY if group != "satellite"])
+def test_eq_reports_the_first_words_error(group, capsys):
+    assert main(["eq", "--group", group, "--d", "2", "x1 x9", "x1 y2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: generator index 9 out of range 1..2\n"
+
+
+def test_eq_satellite_reports_the_first_words_error(capsys):
+    assert main(["eq", "--group", "satellite", "x w", "x v"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown generator 'w'")
+
+
+@pytest.mark.parametrize("group", ["abelian", "heisenberg", "metabelian"])
+def test_eq_keeps_the_per_word_limit(group, monkeypatch, capsys):
+    # Rank 3 times 40 letters passes a limit of 100, although the two words
+    # are equal and their quotient is empty.
+    monkeypatch.setattr(words, "MAX_LETTERS", 100)
+    word = " ".join(["x1 x2"] * 20)
+    assert main(["eq", "--group", group, "--d", "3", word, word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rank 3 times word length 40 is more than 100\n"
+    short = " ".join(["x1 x2"] * 16)
+    assert main(["eq", "--group", group, "--d", "3", short, short]) == 0
+
+
 @pytest.mark.parametrize("name", BAD_PERTURB)
 def test_beta_rejects_malformed_perturbation(name, capsys):
     assert main(["beta", "--k", "2", "--perturb", str(DATA / name)]) == 2
@@ -133,6 +259,33 @@ def test_nested_perturbation_is_a_bad_file(tmp_path, capsys):
     assert [lines[0], lines[2]] == ["2", "x1"]
     assert lines[1].startswith(f"error: bad perturbation file {str(nested)!r}")
     assert len(lines) == 3 and captured.err == ""
+
+
+# A file the JSON parser cannot read at all: not JSON, or not UTF-8.
+UNREADABLE_PERTURB = {
+    "not-json": '[{"vertex": [1, 0], '.encode(),
+    "not-utf8": b'[{"vertex": [1, 0], "plaquettes": []}] \xff\xfe',
+    "huge-int": b"[" + b"1" * 5000 + b"]",
+}
+
+
+@pytest.mark.parametrize("content", list(UNREADABLE_PERTURB.values()), ids=list(UNREADABLE_PERTURB))
+def test_unreadable_perturbation_is_a_bad_file(content, tmp_path, capsys):
+    path = tmp_path / "perturb.json"
+    path.write_bytes(content)
+    assert main(["beta", "--k", "2", "--perturb", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad perturbation file {str(path)!r}: expected ")
+    assert captured.err.count("\n") == 1
+
+    commands = tmp_path / "commands.txt"
+    commands.write_text(f"beta --k 2 --perturb {path}\nreduce --d 2 x1\n", encoding="utf-8")
+    assert main(["batch", str(commands)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith(f"error: bad perturbation file {str(path)!r}: expected ")
+    assert lines[1:] == ["x1"] and captured.err == ""
 
 
 def test_batch_unclosed_quote_marks_only_its_line(capsys):

@@ -15,6 +15,7 @@ from latticegroups import (
     Word,
     WordSyntaxError,
     commutator,
+    evaluate_path,
     free_reduce,
     parse_word,
     parse_letters,
@@ -162,6 +163,44 @@ class TestGroupOps:
     def test_commutator_is_loop_material(self, u, v):
         c = commutator(u, v)
         assert (c * ~c).is_identity()
+
+
+def _shared_prefix_pairs(rng):
+    """Reduced words u, v that share a prefix of up to 3000 letters, over up
+    to 40 generators."""
+    for _ in range(40):
+        d = rng.choice((1, 2, 3, 40))
+        prefix = random_letters(rng, d, rng.choice((0, 1, 5, 3000)))
+        u = prefix + random_letters(rng, d, rng.randint(0, 6))
+        v = prefix + random_letters(rng, d, rng.randint(0, 6))
+        yield Word(u, d), Word(v, d)
+
+
+def test_product_and_inverse_match_free_reduction():
+    # * counts the junction and ~ maps the letters through per-call tables;
+    # free_reduce of the concatenated letters is the reference for both.
+    for u, v in _shared_prefix_pairs(random.Random(61)):
+        inverse = [letter.inverse() for letter in reversed(u.letters)]
+        assert (~u).letters == tuple(inverse)
+        assert (~u * v).letters == free_reduce(inverse + list(v.letters))
+        assert (u * v).letters == free_reduce(u.letters + v.letters)
+        assert all(type(letter) is Letter for letter in (~u * v).letters + (~u).letters)
+
+
+def test_equal_images_folds_the_quotient():
+    folded = []
+
+    def fold(word):
+        folded.append(word)
+        return evaluate_path(word).endpoint
+
+    for u, v in _shared_prefix_pairs(random.Random(62)):
+        folded.clear()
+        same = evaluate_path(u).endpoint == evaluate_path(v).endpoint
+        assert words.equal_images(fold, u, v) == same
+        assert folded == [~u * v, Word.identity(u.d)]
+    with pytest.raises(RankMismatchError):
+        words.equal_images(fold, Word.identity(2), Word.identity(3))
 
 
 def test_parse_letters_named_alphabet():
@@ -502,6 +541,7 @@ def test_elements_are_values(kind):
     trusted = cls._of(*fields)
     assert trusted == checked and not trusted != checked
     assert [getattr(trusted, name) for name in cls.__slots__] == list(fields)
+    assert cls._fields == cls.__slots__
 
     # Equal fields under another type, or as a plain tuple, are a different value.
     twin = type("Twin", (words.GroupElement,), {"__slots__": cls.__slots__})
@@ -512,6 +552,21 @@ def test_elements_are_values(kind):
             others.append(other_cls._of(*fields))
     for other in others:
         assert trusted != other and other != trusted
+
+    # A subclass keeps its base's fields, after them any of its own.
+    plain = type("Plain", (cls,), {"__slots__": ()})
+    extended = type("Extended", (cls,), {"__slots__": "extra"})
+    assert plain._fields == cls._fields
+    assert extended._fields == (*cls._fields, "extra")
+    assert plain._of(*fields) == plain._of(*fields) != trusted
+    for index, field in enumerate(fields):
+        changed = list(fields)
+        changed[index] = object()
+        assert plain._of(*changed) != plain._of(*fields), field
+    assert extended._of(*fields, 1) == extended._of(*fields, 1) != extended._of(*fields, 2)
+    # A weak-reference slot is not a field.
+    weak = type("Weak", (cls,), {"__slots__": ("__weakref__",)})
+    assert weak._fields == cls._fields and weak._of(*fields) == weak._of(*fields)
 
     if cls is Word:
         assert hash(trusted) == hash(checked)
