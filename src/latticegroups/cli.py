@@ -17,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from .cocycles import Cocycle, _rectangle_edges, canonical_cocycle, cocycle_index
 from .homology import NotACycleError, algebraic_area, decompose_cycle, plaquette_sum_from_json
-from .lattice import evaluate_path
+from .lattice import _json_ints, _vec_text, evaluate_path
 from .metabelian import MetabelianElement, fox_image
 from .nilpotent import HeisenbergElement
 from .words import (
@@ -44,14 +44,11 @@ def _dumps(obj) -> str:
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     parts = [part.strip() for part in text.split(",")]
-    try:
-        # Each part follows the exponent grammar of words: int() alone would
-        # also read Python literal syntax such as 1_0.
-        if not all(re.fullmatch(r"[+-]?\d+", part) for part in parts):
-            raise ValueError
-        vec = tuple(map(int, parts))
-    except ValueError:  # also a part with more digits than int() reads
-        raise ValueError(f"bad vector {text!r}; expected comma-separated integers") from None
+    # Each part follows the exponent grammar of words, and is read alike: int()
+    # alone would also read Python literal syntax such as 1_0.
+    if not all(words._EXPONENT_RE.fullmatch(part) for part in parts):
+        raise ValueError(f"bad vector {text!r}; expected comma-separated integers")
+    vec = tuple(map(words._read_int, parts))
     # The L1 norm is the length of the vector's monomial path.
     if sum(map(abs, vec)) > words.MAX_LETTERS:
         raise InputTooLargeError(f"vector {text!r} is longer than {words.MAX_LETTERS} unit steps")
@@ -70,74 +67,46 @@ def _parse_folded(text: str, args):
     return word
 
 
-def _fmt_vec(vec) -> str:
-    return "(" + ", ".join(str(c) for c in vec) + ")"
+class _Endpoint(tuple):
+    """The abelian image of a word: its path's endpoint, as an answer."""
+
+    __slots__ = ()
+
+    __str__ = _vec_text
+
+    def as_json(self) -> str:
+        return '{"endpoint":' + _json_ints(self) + "}"
 
 
-def _fmt_flow(flow) -> str:
-    return "[" + ", ".join(
-        f"{_fmt_vec(edge.base)}:{edge.axis}:{coeff:+d}" for edge, coeff in flow.entries()
-    ) + "]"
+def _answer(value, args) -> tuple[str, int]:
+    """An answer's JSON text under --json, else its human text."""
+    return (value.as_json() if args.json else str(value)), 0
 
 
-def _fmt_plaquettes(ps) -> str:
-    return "[" + ", ".join(
-        f"{_fmt_vec(p.base)}:({p.i},{p.j}):{coeff:+d}" for p, coeff in ps.entries()
-    ) + "]"
-
-
-def _fmt_areas(elem) -> str:
-    return "[" + ", ".join(f"({i},{j}):{value:+d}" for (i, j), value in elem.areas()) + "]"
-
-
-# group -> (read(text, args) -> Word, fold(word, args) -> value, human(value),
-# json(value)). Every fold is a homomorphism out of the free group. eval
-# prints the fold of one word, as human text or as its JSON text; eq folds
-# only the freely reduced quotient u^-1 v of its two words. The lambdas look
-# names up at call time, so a function rebound on its module (as perfbench's
-# tracer does) is the one they call.
+# group -> (read(text, args) -> Word, fold(word, args) -> answer). Every fold
+# is a homomorphism out of the free group. eval prints the fold of one word;
+# eq folds only the freely reduced quotient u^-1 v of its two words. The
+# lambdas look names up at call time, so a function rebound on its module (as
+# perfbench's tracer does) is the one they call.
 REGISTRY = {
-    "free": (
-        lambda text, args: parse_word(text, args.d),
-        lambda word, args: word,
-        str,
-        lambda word: _dumps({"word": str(word)}),
-    ),
-    "abelian": (
-        _parse_folded,
-        lambda word, args: evaluate_path(word).endpoint,
-        _fmt_vec,
-        lambda endpoint: _dumps({"endpoint": list(endpoint)}),
-    ),
-    "heisenberg": (
-        _parse_folded,
-        lambda word, args: HeisenbergElement.from_word(word),
-        lambda elem: f"endpoint={_fmt_vec(elem.endpoint)} areas={_fmt_areas(elem)}",
-        lambda elem: elem.as_json(),
-    ),
-    "metabelian": (
-        _parse_folded,
-        lambda word, args: MetabelianElement.from_word(word),
-        lambda elem: f"endpoint={_fmt_vec(elem.endpoint)} flow={_fmt_flow(elem.flow)}",
-        lambda elem: elem.as_json(),
-    ),
+    "free": (lambda text, args: parse_word(text, args.d), lambda word, args: word),
+    "abelian": (_parse_folded, lambda word, args: _Endpoint(evaluate_path(word).endpoint)),
+    "heisenberg": (_parse_folded, lambda word, args: HeisenbergElement.from_word(word)),
+    "metabelian": (_parse_folded, lambda word, args: MetabelianElement.from_word(word)),
     "satellite": (
         lambda text, args: Word(parse_letters(text, satellite.GENERATOR_NAMES), 3),
         lambda word, args: satellite.from_word(word.letters, args.k),
-        lambda elem: f"k={elem.k} vec={_fmt_vec(elem.vec)} cycle={_fmt_flow(elem.cycle)}",
-        lambda elem: elem.as_json(),
     ),
 }
 
 
 def _cmd_eval(args) -> tuple[str, int]:
-    read, fold, human, as_json = REGISTRY[args.group]
-    value = fold(read(args.word, args), args)
-    return (as_json(value) if args.json else human(value)), 0
+    read, fold = REGISTRY[args.group]
+    return _answer(fold(read(args.word, args), args), args)
 
 
 def _cmd_eq(args) -> tuple[str, int]:
-    read, fold = REGISTRY[args.group][:2]
+    read, fold = REGISTRY[args.group]
     # Both words are read, and checked, before either is folded.
     u, v = read(args.word1, args), read(args.word2, args)
     equal = equal_images(lambda word: fold(word, args), u, v)
@@ -147,8 +116,7 @@ def _cmd_eq(args) -> tuple[str, int]:
 
 def _cmd_decompose(args) -> tuple[str, int]:
     flow = evaluate_path(_parse_folded(args.word, args)).flow
-    ps = decompose_cycle(flow)
-    return (ps.as_json() if args.json else _fmt_plaquettes(ps)), 0
+    return _answer(decompose_cycle(flow), args)
 
 
 def _cmd_area(args) -> tuple[str, int]:
@@ -169,8 +137,7 @@ def _cmd_cocycle(args) -> tuple[str, int]:
             raise InputTooLargeError(
                 f"rank {len(g1)} times {edges} cocycle edges is more than {words.MAX_LETTERS}"
             )
-    flow = canonical_cocycle(g1, g2)
-    return (flow.as_json() if args.json else _fmt_flow(flow)), 0
+    return _answer(canonical_cocycle(g1, g2), args)
 
 
 def _int_list(value) -> bool:
@@ -214,16 +181,7 @@ def _cmd_beta(args) -> tuple[str, int]:
 
 
 def _cmd_fox(args) -> tuple[str, int]:
-    image = fox_image(_parse_folded(args.word, args))
-    if args.json:
-        return image.as_json(), 0
-    derivs = "; ".join(
-        f"d{axis + 1}=[" + ", ".join(
-            f"{_fmt_vec(point)}:{coeff:+d}" for point, coeff in sorted(component.items())
-        ) + "]"
-        for axis, component in enumerate(image.derivatives)
-    )
-    return f"monomial={_fmt_vec(image.monomial)} {derivs}", 0
+    return _answer(fox_image(_parse_folded(args.word, args)), args)
 
 
 def _cmd_member(args) -> tuple[str, int]:

@@ -19,6 +19,7 @@ from .lattice import (
     Vector,
     _accumulate,
     _json_ints_template,
+    _vec_text,
     basis_vector,
     vec_add,
 )
@@ -112,6 +113,11 @@ class PlaquetteSum(Chain):
         row = '{"base":' + _json_ints_template(self.d) + ',"i":%d,"j":%d,"mult":%d}'
         rows = [row % (*base, i, j, coeff) for (base, i, j), coeff in self.entries()]
         return "[" + ",".join(rows) + "]"
+
+    def __str__(self) -> str:
+        """The human text of the sorted entries: ``[(x, y):(i,j):+m, ...]``."""
+        rows = [f"{_vec_text(base)}:({i},{j}):{coeff:+d}" for (base, i, j), coeff in self.entries()]
+        return "[" + ", ".join(rows) + "]"
 
 
 def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:
@@ -272,7 +278,7 @@ def algebraic_area(flow: EdgeFlow) -> int:
 
 def _check_planar(flow: EdgeFlow) -> None:
     if flow.d != 2:
-        raise ValueError(f"planar decomposition needs rank 2, got {flow.d}")
+        raise ValueError(f"needs a planar flow of rank 2, got rank {flow.d}")
 
 
 def cube_relation(base: Vector, i: int, j: int, k: int) -> PlaquetteSum:

@@ -46,6 +46,11 @@ def _json_ints(values) -> str:
     return _json_ints_template(len(values)) % tuple(values)
 
 
+def _vec_text(values) -> str:
+    """The human text of a vector: ``(1, -2)``, and ``(5)`` in rank 1."""
+    return "(" + ", ".join(map(str, values)) + ")"
+
+
 def _accumulate(entries: dict, key, coeff: int) -> None:
     # Keeps the support exact: a zero total removes the key outright.
     if coeff == 0:
@@ -228,6 +233,11 @@ class EdgeFlow(Chain):
         row = '{"axis":%d,"base":' + _json_ints_template(self.d) + ',"mult":%d}'
         rows = [row % (axis, *base, coeff) for (base, axis), coeff in self.entries()]
         return "[" + ",".join(rows) + "]"
+
+    def __str__(self) -> str:
+        """The human text of the sorted entries: ``[(x, y):axis:+m, ...]``."""
+        rows = [f"{_vec_text(base)}:{axis}:{coeff:+d}" for (base, axis), coeff in self.entries()]
+        return "[" + ", ".join(rows) + "]"
 
 
 class _PathFields(NamedTuple):

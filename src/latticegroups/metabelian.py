@@ -24,6 +24,7 @@ from .lattice import (
     _accumulate,
     _json_ints,
     _json_ints_template,
+    _vec_text,
     basis_vector,
     evaluate_path,
     vec_add,
@@ -94,6 +95,9 @@ class MetabelianElement(GroupElement):
     def as_json(self) -> str:
         return '{"endpoint":' + _json_ints(self.endpoint) + ',"flow":' + self.flow.as_json() + "}"
 
+    def __str__(self) -> str:
+        return f"endpoint={_vec_text(self.endpoint)} flow={self.flow}"
+
 
 def plaquette_element(p: Plaquette) -> MetabelianElement:
     """The element of the based commutator loop around ``p``.
@@ -152,6 +156,16 @@ class FoxImage(_FoxFields):
             '{"derivatives":[' + ",".join(components) + '],"monomial":'
             + _json_ints(self.monomial) + "}"
         )
+
+    def __str__(self) -> str:
+        """The human text: ``monomial=(...) d1=[(x, y):+c, ...]; d2=[...]``."""
+        components = "; ".join(
+            f"d{axis}=["
+            + ", ".join(f"{_vec_text(point)}:{component[point]:+d}" for point in sorted(component))
+            + "]"
+            for axis, component in enumerate(self.derivatives, 1)
+        )
+        return f"monomial={_vec_text(self.monomial)} {components}"
 
 
 def fox_image(word: Word) -> FoxImage:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import index
 from typing import Mapping
 
-from .lattice import Vector, _accumulate, _json_ints, vec_add, vec_neg
+from .lattice import Vector, _accumulate, _json_ints, _vec_text, vec_add, vec_neg
 from .words import GroupElement, RankMismatchError, Word
 
 
@@ -92,6 +92,10 @@ class HeisenbergElement(GroupElement):
         ``{"areas":[{"i":i,"j":j,"value":v},...],"endpoint":[...]}``."""
         rows = ['{"i":%d,"j":%d,"value":%d}' % (i, j, value) for (i, j), value in self.areas()]
         return '{"areas":[' + ",".join(rows) + '],"endpoint":' + _json_ints(self.endpoint) + "}"
+
+    def __str__(self) -> str:
+        areas = ", ".join(f"({i},{j}):{value:+d}" for (i, j), value in self.areas())
+        return f"endpoint={_vec_text(self.endpoint)} areas=[{areas}]"
 
 
 def _add_products(entries: dict, u: Vector, w: Vector) -> None:

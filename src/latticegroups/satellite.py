@@ -20,7 +20,7 @@ from .homology import (
     algebraic_area,
     plaquette_boundary,
 )
-from .lattice import Edge, EdgeFlow, Vector, _accumulate, _json_ints, vec_add, vec_neg
+from .lattice import Edge, EdgeFlow, Vector, _accumulate, _json_ints, _vec_text, vec_add, vec_neg
 from .words import (
     GroupElement,
     Letter,
@@ -104,6 +104,9 @@ class SatelliteElement(GroupElement):
     def as_json(self) -> str:
         """The canonical JSON text: ``{"cycle":[...],"k":k,"vec":[a,b]}``."""
         return '{"cycle":%s,"k":%d,"vec":%s}' % (self.cycle.as_json(), self.k, _json_ints(self.vec))
+
+    def __str__(self) -> str:
+        return f"k={self.k} vec={_vec_text(self.vec)} cycle={self.cycle}"
 
 
 def generator(name: str, k: int) -> SatelliteElement:

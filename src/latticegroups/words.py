@@ -226,6 +226,10 @@ class Word(GroupElement):
             parts.append(f"x{axis}" if exponent == 1 else f"x{axis}^{exponent}")
         return " ".join(parts)
 
+    def as_json(self) -> str:
+        """The canonical JSON text ``{"word":"..."}``: the text needs no escapes."""
+        return '{"word":"' + str(self) + '"}'
+
     def __repr__(self) -> str:
         return f"Word({str(self)!r}, d={self.d})"
 
@@ -244,13 +248,29 @@ def equal_images(fold: Callable[[Word], object], u: Word, v: Word) -> bool:
 _EXPONENT_RE = re.compile(r"[+-]?\d+")
 
 
+def _read_int(text: str) -> int:
+    """The integer of text that matches ``_EXPONENT_RE``, read alike on every
+    Python: ``int()`` refuses more than 4300 digits from CPython 3.10.7 on,
+    leading zeros too. Leading zero digits are dropped, and a value with more
+    significant digits than MAX_LETTERS has reads as +-(MAX_LETTERS + 1),
+    which is past every length limit all the same."""
+    if len(text) <= len(str(MAX_LETTERS)):  # too few digits for either limit
+        return int(text)
+    digits = text.lstrip("+-")
+    digits = digits[next((at for at, digit in enumerate(digits) if int(digit)), len(digits)):]
+    if len(digits) > len(str(MAX_LETTERS)):
+        digits = str(MAX_LETTERS + 1)
+    value = int(digits or "0")
+    return -value if text[0] == "-" else value
+
+
 def _split_exponent(token: str) -> tuple[str, int]:
     name, caret, tail = token.partition("^")
     if not caret:
         return token, 1
     if not _EXPONENT_RE.fullmatch(tail):
         raise WordSyntaxError(f"bad exponent in token {token!r}")
-    exponent = int(tail)
+    exponent = _read_int(tail)
     if exponent == 0:
         raise WordSyntaxError(f"zero exponent in token {token!r}")
     return name, exponent

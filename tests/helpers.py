@@ -16,6 +16,7 @@ from latticegroups import (
     evaluate_path,
     parse_word,
 )
+from latticegroups.cli import _Endpoint
 from latticegroups.satellite import SatelliteElement
 
 
@@ -75,6 +76,8 @@ def _endpoint_flow_json(value):
 
 
 JSON_REFERENCE = {
+    Word: lambda word: {"word": str(word)},
+    _Endpoint: lambda endpoint: {"endpoint": list(endpoint)},
     EdgeFlow: _flow_json,
     PathEvaluation: _endpoint_flow_json,
     MetabelianElement: _endpoint_flow_json,

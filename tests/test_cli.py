@@ -355,6 +355,32 @@ def test_huge_input_refused(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_digits_past_int_limit_read_like_short_ones(capsys):
+    # int() refuses more than 4300 digits from CPython 3.10.7 on, leading
+    # zeros too: such exponents and vector parts get the answer or the error
+    # of their short equivalents.
+    nines = "9" * 5000
+    assert main(["reduce", "--d", "2", f"x2 x1^{nines} x3"]) == 2
+    assert capsys.readouterr() == ("", "error: word expands to more than 1000000 letters\n")
+    assert main(["reduce", "--d", "2", "x1^" + "0" * 4400 + "3"]) == 0
+    assert capsys.readouterr().out == "x1^3\n"
+    for vector in (f"{nines},0", "1" * 4300 + ",0"):
+        assert main(["cocycle", vector, "0,1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: vector {vector!r} is longer than 1000000 unit steps\n"
+        )
+    assert main(["cocycle", "--json", "-" + "0" * 5000 + "2,1", "3,0"]) == 0
+    out = capsys.readouterr().out
+    assert main(["cocycle", "--json", "-2,1", "3,0"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_area_rank_error_names_no_decomposition(capsys):
+    # area and decompose share one rank check, and area decomposes nothing.
+    assert main(["area", "--d", "3", "x1"]) == 2
+    assert capsys.readouterr().err == "error: needs a planar flow of rank 2, got rank 3\n"
+
+
 def test_cocycle_rank_times_edges_at_the_limit(monkeypatch, capsys):
     # Three rectangles of 4 edges each in rank 3: 36 edge coordinates.
     monkeypatch.setattr(words, "MAX_LETTERS", 36)
@@ -419,10 +445,11 @@ def test_rank_guard_via_cli(capsys):
 
 def test_thin_adapter_matches_module(capsys):
     word = "x1^2 x2 x1^-2 x2^-1"
-    main(["nf", "--d", "2", "--json", word])
-    out = capsys.readouterr().out
     elem = MetabelianElement.from_word(parse_word(word, 2))
-    assert out == elem.as_json() + "\n"
+    main(["nf", "--d", "2", "--json", word])
+    assert capsys.readouterr().out == elem.as_json() + "\n"
+    main(["nf", "--d", "2", word])
+    assert capsys.readouterr().out == str(elem) + "\n"
 
 
 def test_batch_missing_file(capsys):

@@ -1,6 +1,9 @@
 """Each type's as_json() text against json.dumps of the structure it encodes,
-and the integer reading of the public constructors whose values it prints."""
+each CLI answer's str() text against the benchmark's reference formatting,
+and the integer reading of the public constructors whose values they print."""
 
+import importlib.util
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -23,8 +26,22 @@ from latticegroups import (
     fox_image,
     plaquette_sum_from_json,
 )
+from latticegroups.cli import _Endpoint
 from latticegroups.satellite import GENERATOR_NAMES, SatelliteElement, from_word, generator
 from helpers import reference_json
+
+
+def _load_reference():
+    """perfbench/reference.py, which computes and formats every answer
+    without importing latticegroups, loaded by its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ref = _load_reference()
 
 # Small and negative values, and values past 2^64.
 COEFFS = st.one_of(
@@ -47,8 +64,8 @@ def flows(draw):
 
 
 @st.composite
-def plaquette_sums(draw):
-    d = draw(RANKS)
+def plaquette_sums(draw, ranks=RANKS):
+    d = draw(ranks)
     if d == 1:  # no plaquette has rank 1
         return PlaquetteSum(1)
     axes = st.tuples(st.integers(1, d - 1), st.integers(2, d)).filter(lambda ij: ij[0] < ij[1])
@@ -87,7 +104,11 @@ def fox_images(draw):
     return FoxImage(draw(_vectors(d)), tuple(derivatives))
 
 
+ENDPOINTS = RANKS.flatmap(_vectors).map(_Endpoint)
+
 VALUES = st.one_of(
+    words(),
+    ENDPOINTS,
     flows(),
     plaquette_sums(),
     words().map(lambda word: evaluate_letters(word.letters, word.d)),
@@ -104,16 +125,80 @@ def test_as_json_is_canonical_json(value):
     assert value.as_json() == reference_json(value)
 
 
+def _ref_flow(flow):
+    return ref.fmt_flow(dict(flow.entries()))
+
+
+# The human text of each CLI answer type, by the reference's formatting, put
+# together as perfbench/workloads.py puts together the answers it expects.
+TEXT_REFERENCE = {
+    Word: lambda word: ref.word_text(word.letters),
+    _Endpoint: ref.fmt_vec,
+    EdgeFlow: _ref_flow,
+    # The reference writes the plaquettes of d = 2, all in the plane (1, 2).
+    PlaquetteSum: lambda ps: ref.fmt_plaquettes({p.base: coeff for p, coeff in ps.entries()}),
+    MetabelianElement: lambda elem: (
+        f"endpoint={ref.fmt_vec(elem.endpoint)} flow={_ref_flow(elem.flow)}"
+    ),
+    HeisenbergElement: lambda elem: (
+        f"endpoint={ref.fmt_vec(elem.endpoint)} areas={ref.fmt_areas(dict(elem.areas()))}"
+    ),
+    SatelliteElement: lambda elem: (
+        f"k={elem.k} vec={ref.fmt_vec(elem.vec)} cycle={_ref_flow(elem.cycle)}"
+    ),
+    FoxImage: lambda image: ref.fmt_fox(
+        image.monomial,
+        {
+            (point, axis): coeff
+            for axis, component in enumerate(image.derivatives, 1)
+            for point, coeff in component.items()
+        },
+        len(image.derivatives),
+    ),
+}
+
+ANSWERS = st.one_of(
+    words(),
+    ENDPOINTS,
+    flows(),
+    plaquette_sums(st.integers(1, 2)),
+    loop_powers(MetabelianElement),
+    loop_powers(HeisenbergElement),
+    satellite_elements(),
+    words().map(fox_image),
+    fox_images(),
+)
+
+
+@given(ANSWERS)
+def test_str_is_the_reference_text(value):
+    assert str(value) == TEXT_REFERENCE[type(value)](value)
+
+
 def test_empty_values():
     for d in (1, 2, 3):
         assert EdgeFlow(d).as_json() == "[]"
         assert PlaquetteSum(d).as_json() == "[]"
+        assert str(EdgeFlow(d)) == str(PlaquetteSum(d)) == "[]"
         for value in (
+            Word.identity(d),
+            _Endpoint((0,) * d),
             MetabelianElement.identity(d),
             HeisenbergElement.identity(d),
             fox_image(Word.identity(d)),
         ):
             assert value.as_json() == reference_json(value)
+            assert str(value) == TEXT_REFERENCE[type(value)](value)
+    assert str(SatelliteElement.identity(2)) == "k=2 vec=(0, 0) cycle=[]"
+
+
+def test_rank_one_vectors_have_no_trailing_comma():
+    flow = EdgeFlow(1, [(((5,), 1), 2), (((-1,), 1), -3)])
+    assert str(flow) == _ref_flow(flow) == "[(-1):1:-3, (5):1:+2]"
+    elem = MetabelianElement.from_word(Word([Letter(1, 1)] * 2, 1))
+    assert str(elem) == "endpoint=(2) flow=[(0):1:+1, (1):1:+1]"
+    assert str(_Endpoint((5,))) == "(5)"
+    assert str(fox_image(Word([Letter(1, -1)], 1))) == "monomial=(-1) d1=[(-1):-1]"
 
 
 # constructor slot -> the value built with n in that slot; n = 1 is valid in each.
