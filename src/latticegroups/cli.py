@@ -26,6 +26,7 @@ from .words import (
     Word,
     WordSyntaxError,
     equal_images,
+    free_reduce,
     parse_letters,
     parse_word,
 )
@@ -94,7 +95,7 @@ REGISTRY = {
     "heisenberg": (_parse_folded, lambda word, args: HeisenbergElement.from_word(word)),
     "metabelian": (_parse_folded, lambda word, args: MetabelianElement.from_word(word)),
     "satellite": (
-        lambda text, args: Word(parse_letters(text, satellite.GENERATOR_NAMES), 3),
+        lambda text, args: Word._of(free_reduce(parse_letters(text, satellite.GENERATOR_NAMES)), 3),
         lambda word, args: satellite.from_word(word.letters, args.k),
     ),
 }
@@ -144,7 +145,7 @@ def _int_list(value) -> bool:
     return isinstance(value, list) and all(type(c) is int for c in value)
 
 
-def _load_perturbation(path: str) -> dict:
+def _load_perturbation(path: str) -> list:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -168,14 +169,15 @@ def _load_perturbation(path: str) -> dict:
             f"bad perturbation file {path!r}: expected "
             '[{"vertex": [m, n], "plaquettes": [{"base": [a, b], "i": 1, "j": 2, "mult": c}, ...]}, ...]'
         )
-    return {
-        tuple(item["vertex"]): plaquette_sum_from_json(item["plaquettes"], d=2).boundary_flow()
+    # Pairs, not a dict: Cocycle checks every entry and sums those of one vertex.
+    return [
+        (tuple(item["vertex"]), plaquette_sum_from_json(item["plaquettes"], d=2).boundary_flow())
         for item in data
-    }
+    ]
 
 
 def _cmd_beta(args) -> tuple[str, int]:
-    shifts = _load_perturbation(args.perturb) if args.perturb else {}
+    shifts = _load_perturbation(args.perturb) if args.perturb else ()
     value = cocycle_index(Cocycle(2, args.k, shifts))
     return (_dumps({"beta": value}) if args.json else str(value)), 0
 

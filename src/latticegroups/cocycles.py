@@ -9,7 +9,7 @@ coboundary perturbation and classifies such cocycles completely.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .homology import algebraic_area
 from .lattice import Edge, EdgeFlow, Vector, _accumulate, vec_add
@@ -129,41 +129,36 @@ def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> Edg
     return lookup(g1) + lookup(g2).translate(tuple(g1)) - lookup(vec_add(g1, g2))
 
 
-def _checked_shift(d: int, vec: Vector, flow: EdgeFlow) -> Vector:
-    """``vec`` as a tuple, once it and its shift value ``flow`` have rank d."""
-    vec = tuple(vec)
-    if len(vec) != d:
-        raise RankMismatchError(f"shift vector {vec} does not have rank {d}")
-    if flow.d != d:
-        raise RankMismatchError(f"shift value at {vec} does not have rank {d}")
-    return vec
-
-
 class Cocycle:
     """k times the canonical cocycle plus the coboundary of a cycle assignment; callable.
 
     Every cocycle the package builds has this form, and the index of
     :func:`cocycle_index` classifies them by k. ``shifts`` maps lattice
-    vectors to cycles; zero values are dropped, and the assignment must
-    vanish at the origin so that the rule stays normalized (zero whenever
-    either argument is zero). Level 0 with no shifts is the split case.
+    vectors to cycles, as a mapping or as (vector, cycle) pairs. This is
+    the one place shifts are checked: each pair must have rank d, its value
+    must be a cycle, and a nonzero value may not sit at the origin, so that
+    the rule stays normalized (zero whenever either argument is zero). The
+    values of a repeated vector are summed and zero sums are dropped. Level
+    0 with no shifts is the split case.
     """
 
-    def __init__(self, d: int, k: int = 1, shifts: Mapping[Vector, EdgeFlow] = {}):
-        cleaned: dict[Vector, EdgeFlow] = {}
+    def __init__(self, d: int, k: int = 1, shifts: Mapping[Vector, EdgeFlow] | Iterable = ()):
+        summed: dict[Vector, EdgeFlow] = {}
         origin = (0,) * d
-        for vec, flow in shifts.items():
-            vec = _checked_shift(d, vec, flow)
+        for vec, flow in shifts.items() if isinstance(shifts, Mapping) else shifts:
+            vec = tuple(vec)
+            if len(vec) != d:
+                raise RankMismatchError(f"shift vector {vec} does not have rank {d}")
+            if flow.d != d:
+                raise RankMismatchError(f"shift value at {vec} does not have rank {d}")
             if not flow.is_cycle():
                 raise ValueError(f"shift value at {vec} is not a cycle")
-            if not flow:
-                continue
-            if vec == origin:
+            if flow and vec == origin:
                 raise ValueError("a nonzero shift at the origin breaks normalization")
-            cleaned[vec] = flow
+            summed[vec] = summed[vec] + flow if vec in summed else flow
         self.d = d
         self.k = k
-        self.shifts = cleaned
+        self.shifts = {vec: flow for vec, flow in summed.items() if flow}
 
     def value(self, g1: Vector, g2: Vector) -> EdgeFlow:
         flow = canonical_cocycle(g1, g2) * self.k
@@ -182,14 +177,10 @@ def PerturbedCocycle(base: Cocycle, shifts: Mapping[Vector, EdgeFlow]) -> Cocycl
     """``base`` plus the coboundary of ``shifts``.
 
     The coboundary is linear in the assignment, so this is the cocycle of
-    ``base``'s level whose shifts are ``base.shifts`` plus ``shifts``,
+    ``base``'s level whose shifts are ``base.shifts`` and ``shifts``,
     summed per vector.
     """
-    summed = dict(base.shifts)
-    for vec, flow in shifts.items():
-        vec = _checked_shift(base.d, vec, flow)
-        summed[vec] = summed[vec] + flow if vec in summed else flow
-    return Cocycle(base.d, base.k, summed)
+    return Cocycle(base.d, base.k, [*base.shifts.items(), *shifts.items()])
 
 
 def check_cocycle_identity(table: Cocycle, g1: Vector, g2: Vector, g3: Vector) -> bool:

@@ -338,10 +338,14 @@ def parse_word(text: str, d: int) -> Word:
         match = _GENERATOR_RE.fullmatch(name)
         if match is None:
             raise WordSyntaxError(f"bad token {token!r}")
-        axis = int(match.group(1))
-        if axis > d:
-            raise WordSyntaxError(f"generator index {axis} out of range 1..{d}")
-        return axis
+        index = match.group(1)
+        # An index with more digits than d is past it. It is not read whole,
+        # as int() refuses text past its digit limit with its own message;
+        # read digit by digit, it is written as int() would write it.
+        if len(index) <= len(str(d)) and (axis := int(index)) <= d:
+            return axis
+        digits = "".join(str(int(digit)) for digit in index)
+        raise WordSyntaxError(f"generator index {digits} out of range 1..{d}")
 
     codes, table = _expand(text, axis_of)
     # Every token has passed its range check, so only empty text gets here with d < 1.

@@ -241,6 +241,25 @@ def test_beta_rejects_malformed_perturbation(name, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_beta_sums_entries_of_one_vertex(tmp_path, capsys):
+    # An empty entry after a forbidden origin shift adds zero to it; it does
+    # not replace it.
+    hidden = tmp_path / "hidden_origin.json"
+    hidden.write_text(
+        '[{"vertex": [0, 0], "plaquettes": [{"base": [0, 0], "i": 1, "j": 2, "mult": 1}]},'
+        ' {"vertex": [0, 0], "plaquettes": []}]',
+        encoding="utf-8",
+    )
+    message = "error: a nonzero shift at the origin breaks normalization"
+    assert main(["beta", "--k", "2", "--perturb", str(hidden)]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+    commands = tmp_path / "commands.txt"
+    commands.write_text(f"beta --k 2 --perturb {hidden}\nreduce --d 2 x1\n", encoding="utf-8")
+    assert main(["batch", str(commands)]) == 0
+    assert capsys.readouterr() == (f"{message}\nx1\n", "")
+
+
 def test_nested_perturbation_is_a_bad_file(tmp_path, capsys):
     # Nested past the JSON parser's recursion limit.
     nested = tmp_path / "nested.json"
@@ -357,8 +376,8 @@ def test_huge_input_refused(argv, capsys):
 
 def test_digits_past_int_limit_read_like_short_ones(capsys):
     # int() refuses more than 4300 digits from CPython 3.10.7 on, leading
-    # zeros too: such exponents and vector parts get the answer or the error
-    # of their short equivalents.
+    # zeros too: such exponents, vector parts and generator indices get the
+    # answer or the error of their short equivalents.
     nines = "9" * 5000
     assert main(["reduce", "--d", "2", f"x2 x1^{nines} x3"]) == 2
     assert capsys.readouterr() == ("", "error: word expands to more than 1000000 letters\n")
@@ -369,6 +388,8 @@ def test_digits_past_int_limit_read_like_short_ones(capsys):
         assert capsys.readouterr().err == (
             f"error: vector {vector!r} is longer than 1000000 unit steps\n"
         )
+    assert main(["reduce", "--d", "2", "x" + "1" * 5000]) == 2
+    assert capsys.readouterr().err == f"error: generator index {'1' * 5000} out of range 1..2\n"
     assert main(["cocycle", "--json", "-" + "0" * 5000 + "2,1", "3,0"]) == 0
     out = capsys.readouterr().out
     assert main(["cocycle", "--json", "-2,1", "3,0"]) == 0

@@ -327,6 +327,41 @@ class TestOneCocycleType:
         with pytest.raises(RankMismatchError, match=message):
             PerturbedCocycle(base, {(1, 0): cube_face})
 
+    def test_repeated_pairs_match_the_mapping_of_their_sums(self):
+        rng = random.Random(47)
+        for _ in range(5):
+            k = rng.randint(-2, 2)
+            first, second = random_shifts(rng), random_shifts(rng)
+            second[next(iter(first))] = self.UNIT  # one vector given twice
+            summed = dict(first)
+            for vec, flow in second.items():
+                summed[vec] = summed.get(vec, EdgeFlow(2)) + flow
+            by_pairs = Cocycle(2, k, [*first.items(), *second.items()])
+            by_sums = Cocycle(2, k, summed)
+            assert (by_pairs.d, by_pairs.k, by_pairs.shifts) == (by_sums.d, by_sums.k, by_sums.shifts)
+
+    def test_cancelling_pairs_leave_no_shift(self):
+        table = Cocycle(2, 1, [((1, 0), self.UNIT), ((0, 2), self.UNIT), ((1, 0), -self.UNIT)])
+        assert table.shifts == {(0, 2): self.UNIT}
+        assert Cocycle(2, 1, [((1, 0), self.UNIT), ((1, 0), -self.UNIT)]).shifts == {}
+
+    def test_pairs_are_refused_like_mapping_entries(self):
+        # Each pair is checked before any sum: a second pair that would
+        # cancel the first does not hide it.
+        cube_face = plaquette_boundary(Plaquette((0, 0, 0), 1, 2))
+        bad = [
+            ((1, 0, 0), self.UNIT, RankMismatchError, "shift vector (1, 0, 0) does not have rank 2"),
+            ((1, 0), cube_face, RankMismatchError, "shift value at (1, 0) does not have rank 2"),
+            ((1, 0), EdgeFlow(2, {((0, 0), 1): 1}), ValueError, "shift value at (1, 0) is not a cycle"),
+            ((0, 0), self.UNIT, ValueError, "a nonzero shift at the origin breaks normalization"),
+        ]
+        for vec, flow, error, message in bad:
+            with pytest.raises(error) as by_mapping:
+                Cocycle(2, 1, {vec: flow})
+            with pytest.raises(error) as by_pairs:
+                Cocycle(2, 1, [((0, 1), self.UNIT), (vec, flow), (vec, -flow)])
+            assert str(by_mapping.value) == str(by_pairs.value) == message
+
 
 class TestIndex:
     def test_canonical_is_one(self):
