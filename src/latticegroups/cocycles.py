@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .homology import algebraic_area
-from .lattice import Edge, EdgeFlow, Vector, _accumulate, vec_add
+from .lattice import EdgeFlow, Vector, _accumulate, vec_add
 from .words import Letter, RankMismatchError, Word
 
 
@@ -36,13 +36,13 @@ def monomial_flow(vec: Vector) -> EdgeFlow:
     d = len(vec)
     if d < 1:
         raise ValueError(f"rank must be positive, got {d}")
-    entries: dict[Edge, int] = {}
+    entries: dict[tuple[int, ...], int] = {}
     for index, coord in enumerate(vec):
         prefix = tuple(vec[:index])
-        suffix = (0,) * (d - index - 1)
+        suffix = (0,) * (d - index - 1) + (index + 1,)
         sign = 1 if coord > 0 else -1
         for t in range(min(coord, 0), max(coord, 0)):
-            entries[Edge(prefix + (t,) + suffix, index + 1)] = sign
+            entries[prefix + (t,) + suffix] = sign
     return EdgeFlow._of(d, entries)
 
 
@@ -67,7 +67,7 @@ def canonical_cocycle(g1: Vector, g2: Vector) -> EdgeFlow:
     d = len(g1)
     if d < 1:
         raise ValueError(f"rank must be positive, got {d}")
-    entries: dict[Edge, int] = {}
+    entries: dict[tuple[int, ...], int] = {}
     for i in range(d):
         if not g2[i]:
             continue
@@ -107,9 +107,9 @@ def _rectangle_edges(g1: Vector, g2: Vector) -> int:
 def _run(entries: dict, corner: list[int], index: int, lo: int, hi: int, sign: int) -> None:
     """Add ``sign`` on the edges along axis ``index + 1`` whose coordinate
     ``index`` lies in [lo, hi), the other coordinates taken from ``corner``."""
-    head, tail = tuple(corner[:index]), tuple(corner[index + 1:])
+    head, tail = tuple(corner[:index]), (*corner[index + 1:], index + 1)
     for t in range(lo, hi):
-        _accumulate(entries, Edge(head + (t,) + tail, index + 1), sign)
+        _accumulate(entries, head + (t,) + tail, sign)
 
 
 def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> EdgeFlow:

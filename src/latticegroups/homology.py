@@ -3,7 +3,8 @@
 A plaquette is the oriented boundary of a unit square in a coordinate plane.
 Plaquettes span all cycles of the grid; for d = 2 they do so freely, so a
 planar cycle has unique plaquette coefficients and a well-defined total,
-its algebraic area.
+its algebraic area. A plaquette sum stores each key flat, as ``(*base, i,
+j)``; :class:`Plaquette` is only the view that ``entries()`` returns.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import NamedTuple
 from . import words
 from .lattice import (
     Chain,
-    Edge,
     EdgeFlow,
     Vector,
     _accumulate,
@@ -23,7 +23,7 @@ from .lattice import (
     basis_vector,
     vec_add,
 )
-from .words import InputTooLargeError, RankMismatchError
+from .words import InputTooLargeError, RankMismatchError, _new
 
 
 class NotACycleError(ValueError):
@@ -47,12 +47,6 @@ class Plaquette(_PlaquetteFields):
             raise ValueError(f"bad plaquette axes ({i}, {j}) for rank {len(base)}")
         return tuple.__new__(cls, (base, i, j))
 
-    @classmethod
-    def _of(cls, base: Vector, i: int, j: int) -> "Plaquette":
-        """Trusted constructor for keys that are valid by construction:
-        ``base`` is a tuple and 1 <= i < j <= len(base)."""
-        return tuple.__new__(cls, (base, i, j))
-
     @property
     def d(self) -> int:
         return len(self.base)
@@ -65,18 +59,19 @@ def plaquette_boundary(p: Plaquette) -> EdgeFlow:
     commutator loop x_i x_j x_i^-1 x_j^-1 based at ``p.base``; every other
     sign convention in the package hangs off this choice.
     """
-    return EdgeFlow(p.d, _boundary_edges(p))
+    # Four distinct edges with nonzero signs: valid by construction.
+    return EdgeFlow._of(p.d, dict(_boundary_edges((*p.base, p.i, p.j))))
 
 
-def _boundary_edges(p: Plaquette) -> tuple[tuple[Edge, int], ...]:
-    """The four signed edges of :func:`plaquette_boundary`."""
-    ei = basis_vector(p.d, p.i)
-    ej = basis_vector(p.d, p.j)
+def _boundary_edges(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The four signed flat edge keys of :func:`plaquette_boundary`, for the
+    flat plaquette key ``(*base, i, j)``."""
+    base, i, j = key[:-2], key[-2], key[-1]
     return (
-        (Edge(p.base, p.i), 1),
-        (Edge(vec_add(p.base, ei), p.j), 1),
-        (Edge(vec_add(p.base, ej), p.i), -1),
-        (Edge(p.base, p.j), -1),
+        ((*base, i), 1),
+        ((*vec_add(base, basis_vector(len(base), i)), j), 1),
+        ((*vec_add(base, basis_vector(len(base), j)), i), -1),
+        ((*base, j), -1),
     )
 
 
@@ -86,22 +81,27 @@ class PlaquetteSum(Chain):
     __slots__ = ()
 
     @staticmethod
-    def _key(key, d: int) -> Plaquette:
+    def _key(key, d: int) -> tuple[int, ...]:
         base, i, j = key
         plaquette = Plaquette(base, i, j)
         if plaquette.d != d:
             raise RankMismatchError(f"plaquette {plaquette} does not have rank {d}")
-        return plaquette
+        return (*plaquette.base, plaquette.i, plaquette.j)
 
-    def coefficient(self, plaquette: Plaquette) -> int:
-        return self._entries.get(plaquette, 0)
+    @staticmethod
+    def _view(key) -> Plaquette:
+        return _new(Plaquette, (key[:-2], key[-2], key[-1]))
+
+    def coefficient(self, plaquette: Plaquette | tuple[Vector, int, int]) -> int:
+        base, i, j = plaquette
+        return self._entries.get((*base, i, j), 0)
 
     def total(self) -> int:
         return sum(self._entries.values())
 
     def boundary_flow(self) -> EdgeFlow:
         """The edge flow spanned by the combination, in one pass over its plaquettes."""
-        entries: dict[Edge, int] = {}
+        entries: dict[tuple[int, ...], int] = {}
         for plaquette, coeff in self._entries.items():
             for edge, sign in _boundary_edges(plaquette):
                 _accumulate(entries, edge, sign * coeff)
@@ -111,13 +111,11 @@ class PlaquetteSum(Chain):
         """The canonical JSON text of the sorted entries:
         ``[{"base":[...],"i":i,"j":j,"mult":m},...]``."""
         row = '{"base":' + _json_ints_template(self.d) + ',"i":%d,"j":%d,"mult":%d}'
-        rows = [row % (*base, i, j, coeff) for (base, i, j), coeff in self.entries()]
-        return "[" + ",".join(rows) + "]"
+        return "[" + ",".join(self._rows(row)) + "]"
 
     def __str__(self) -> str:
         """The human text of the sorted entries: ``[(x, y):(i,j):+m, ...]``."""
-        rows = [f"{_vec_text(base)}:({i},{j}):{coeff:+d}" for (base, i, j), coeff in self.entries()]
-        return "[" + ", ".join(rows) + "]"
+        return "[" + ", ".join(self._rows(_vec_text(["%d"] * self.d) + ":(%d,%d):%+d")) + "]"
 
 
 def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:
@@ -146,12 +144,7 @@ def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:
     if sum(high - low for _, low, high, _ in runs) > words.MAX_LETTERS:
         raise _too_many_plaquettes()
     return PlaquetteSum._of(
-        2,
-        {
-            Plaquette._of((a, row), 1, 2): running
-            for a, low, high, running in runs
-            for row in range(low, high)
-        },
+        2, {(a, row, 1, 2): running for a, low, high, running in runs for row in range(low, high)}
     )
 
 
@@ -168,9 +161,10 @@ def _column_runs(flow: EdgeFlow):
     the flow's support, not the area they cover.
     """
     columns: dict[int, list[tuple[int, int]]] = {}
-    for ((a, b), axis), coeff in flow.entries():
-        if axis == 1:
-            columns.setdefault(a, []).append((b, coeff))
+    # Axis-1 keys differ in (a, b), so the triples sort on (a, b) alone.
+    horizontal = [(a, b, coeff) for (a, b, axis), coeff in flow._entries.items() if axis == 1]
+    for a, b, coeff in sorted(horizontal):
+        columns.setdefault(a, []).append((b, coeff))
     for a, runs in columns.items():
         running = 0
         for (b, coeff), (b_next, _) in zip(runs, runs[1:]):
@@ -192,17 +186,17 @@ def _least_plaquettes(flow: EdgeFlow) -> int:
     edges, all that :func:`_column_runs` reads, so this costs the carried
     axes times the support.
     """
-    by_axis: dict[int, list[tuple[Vector, int]]] = {}
-    for (base, axis), coeff in flow._entries.items():
-        by_axis.setdefault(axis, []).append((base, coeff))
+    by_axis: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for key, coeff in flow._entries.items():
+        by_axis.setdefault(key[-1], []).append((key, coeff))
     total = 0
     for i, edges in by_axis.items():
         for j in by_axis:
             if j <= i:
                 continue
-            horizontal: dict[Edge, int] = {}
-            for base, coeff in edges:
-                _accumulate(horizontal, Edge((base[i - 1], base[j - 1]), 1), coeff)
+            horizontal: dict[tuple[int, int, int], int] = {}
+            for key, coeff in edges:
+                _accumulate(horizontal, (key[i - 1], key[j - 1], 1), coeff)
             runs = _column_runs(EdgeFlow._of(2, horizontal))
             total += sum(high - low for _, low, high, _ in runs)
     return total
@@ -235,18 +229,18 @@ def _peel(flow: EdgeFlow) -> PlaquetteSum:
     # stale when its edge cancels out of ``work``; it is skipped when popped.
     heap = list(work)
     heapq.heapify(heap)
-    coeffs: dict[Plaquette, int] = {}
+    coeffs: dict[tuple[int, ...], int] = {}
     while heap:
         least = heapq.heappop(heap)
         mult = work.get(least)
         if mult is None:
             continue
-        base, axis = least
+        base, axis = least[:-1], least[-1]
         partner = next(
-            (j for j in range(axis + 1, d + 1) if Edge(base, j) in work), None
+            (j for j in range(axis + 1, d + 1) if (*base, j) in work), None
         )
         assert partner is not None, "cycle support must close at its least vertex"
-        plaquette = Plaquette._of(base, axis, partner)
+        plaquette = (*base, axis, partner)
         _accumulate(coeffs, plaquette, mult)
         if len(coeffs) > limit:
             raise _too_many_plaquettes()
@@ -273,7 +267,7 @@ def algebraic_area(flow: EdgeFlow) -> int:
     _check_planar(flow)
     if not flow.is_cycle():
         raise NotACycleError("flow has nonzero boundary")
-    return -sum(base[1] * coeff for (base, axis), coeff in flow._entries.items() if axis == 1)
+    return -sum(b * coeff for (a, b, axis), coeff in flow._entries.items() if axis == 1)
 
 
 def _check_planar(flow: EdgeFlow) -> None:
@@ -293,19 +287,17 @@ def cube_relation(base: Vector, i: int, j: int, k: int) -> PlaquetteSum:
         raise ValueError(f"cube relation needs rank >= 3, got {d}")
     if not 1 <= i < j < k <= d:
         raise ValueError(f"axes must satisfy 1 <= i < j < k <= {d}, got ({i}, {j}, {k})")
-    ei = basis_vector(d, i)
-    ej = basis_vector(d, j)
-    ek = basis_vector(d, k)
+    ei, ej, ek = (basis_vector(d, axis) for axis in (i, j, k))
     # Six distinct faces with nonzero coefficients: valid by construction.
     return PlaquetteSum._of(
         d,
         {
-            Plaquette._of(base, i, j): 1,
-            Plaquette._of(vec_add(base, ek), i, j): -1,
-            Plaquette._of(base, i, k): -1,
-            Plaquette._of(vec_add(base, ej), i, k): 1,
-            Plaquette._of(base, j, k): 1,
-            Plaquette._of(vec_add(base, ei), j, k): -1,
+            (*base, i, j): 1,
+            (*vec_add(base, ek), i, j): -1,
+            (*base, i, k): -1,
+            (*vec_add(base, ej), i, k): 1,
+            (*base, j, k): 1,
+            (*vec_add(base, ei), j, k): -1,
         },
     )
 
@@ -319,13 +311,12 @@ def project_flow(flow: EdgeFlow, i: int, j: int) -> EdgeFlow:
     """
     if not 1 <= i < j <= flow.d:
         raise ValueError(f"axes must satisfy 1 <= i < j <= {flow.d}, got ({i}, {j})")
-    pairs = []
-    for (base, axis), coeff in flow._entries.items():
-        if axis == i:
-            pairs.append((Edge((base[i - 1], base[j - 1]), 1), coeff))
-        elif axis == j:
-            pairs.append((Edge((base[i - 1], base[j - 1]), 2), coeff))
-    return EdgeFlow(2, pairs)
+    entries: dict[tuple[int, int, int], int] = {}
+    for key, coeff in flow._entries.items():
+        axis = key[-1]
+        if axis == i or axis == j:
+            _accumulate(entries, (key[i - 1], key[j - 1], 1 if axis == i else 2), coeff)
+    return EdgeFlow._of(2, entries)
 
 
 def plaquette_sum_from_json(obj, d: int) -> PlaquetteSum:

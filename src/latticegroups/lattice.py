@@ -3,6 +3,8 @@
 The grid has one vertex per integer point of Z^d and one edge per unit step
 along a coordinate axis. Every edge is keyed in its positive orientation;
 traversals against the orientation contribute negative multiplicity.
+A flow stores each edge as the flat key ``(*base, axis)``; :class:`Edge` is
+only the view that ``entries()`` and ``support()`` return.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from operator import add, index
 from typing import Iterable, Mapping, NamedTuple
 
-from .words import Letter, RankMismatchError, Word, WordSyntaxError
+from .words import Letter, RankMismatchError, Word, WordSyntaxError, _new
 
 Vector = tuple[int, ...]
 
@@ -67,12 +69,15 @@ class Chain:
 
     Values are exact arbitrary-precision integers and zero entries are never
     stored, so equality of chains is plain map equality. Each kind names its
-    cell keys through ``_key``, which checks and normalises one key.
+    cell keys through ``_key``, which checks one public key and returns it
+    as a flat tuple of ints, and shows a stored key through ``_view``.
     Coordinates, axes and coefficients are read through ``operator.index``:
     a float or a string is refused, not truncated, and a bool reads as 0/1.
     """
 
     __slots__ = ("d", "_entries")
+
+    _view = staticmethod(tuple)  # a vertex key is its own view: tuple() of a tuple returns it
 
     def __init__(self, d: int, items=()):
         entries: dict = {}
@@ -93,11 +98,27 @@ class Chain:
         return chain
 
     def entries(self) -> list:
-        """Entries sorted on their keys."""
-        # Keys are unique, so sorting them alone gives the order of sorting
-        # the pairs, without comparing pairs through their nested tuples.
+        """Entries sorted on their keys, each key as its public view."""
+        # Keys are unique and of one length, so sorting them gives the order
+        # of sorting the pairs, and flat keys sort as their views do.
+        entries, view = self._entries, self._view
+        return [(view(key), entries[key]) for key in sorted(entries)]
+
+    def _rows(self, row: str) -> list[str]:
+        """``row % (*key, coeff)`` for each entry, sorted on the flat keys."""
         entries = self._entries
-        return [(key, entries[key]) for key in sorted(entries)]
+        return [row % (*key, entries[key]) for key in sorted(entries)]
+
+    def translate(self, v: Vector):
+        """The chain moved by the vector ``v``, read through ``operator.index``."""
+        # A key is its cell's base followed by at most two axes, and map stops
+        # at the key's end: the zeros shift the axes by 0.
+        shift = (*map(index, v), 0, 0)
+        if len(shift) != self.d + 2:
+            raise RankMismatchError(f"vector {v} does not have rank {self.d}")
+        return self._of(
+            self.d, {tuple(map(add, key, shift)): coeff for key, coeff in self._entries.items()}
+        )
 
     def _check_rank(self, other: "Chain") -> None:
         if self.d != other.d:
@@ -167,14 +188,6 @@ class VertexChain(Chain):
     def value(self, vertex: Vector) -> int:
         return self._entries.get(tuple(vertex), 0)
 
-    def translate(self, v: Vector) -> "VertexChain":
-        if len(v) != self.d:
-            raise RankMismatchError(f"vector {v} does not have rank {self.d}")
-        return VertexChain._of(
-            self.d,
-            {tuple(map(add, vertex, v)): coeff for vertex, coeff in self._entries.items()},
-        )
-
 
 class EdgeFlow(Chain):
     """Finitely supported integer multiplicities on positively oriented edges."""
@@ -183,45 +196,40 @@ class EdgeFlow(Chain):
 
     # perfbench/spans.py finds traced methods in vars(EdgeFlow), which holds
     # only names bound in this class body, so the inherited ones are bound here.
-    __init__, __add__, __sub__, __neg__, __mul__, __rmul__ = (
-        Chain.__init__, Chain.__add__, Chain.__sub__, Chain.__neg__, Chain.__mul__, Chain.__rmul__
+    __init__, __add__, __sub__, __neg__, __mul__, __rmul__, translate = (
+        Chain.__init__, Chain.__add__, Chain.__sub__, Chain.__neg__, Chain.__mul__, Chain.__rmul__,
+        Chain.translate,
     )
 
     @staticmethod
-    def _key(key, d: int) -> Edge:
+    def _key(key, d: int) -> tuple[int, ...]:
         base, axis = key
-        edge = Edge(tuple(map(index, base)), index(axis))
-        if len(edge.base) != d:
-            raise RankMismatchError(f"edge base {edge.base} does not have rank {d}")
-        if not 1 <= edge.axis <= d:
-            raise ValueError(f"edge axis {edge.axis} out of range 1..{d}")
-        return edge
+        base, axis = tuple(map(index, base)), index(axis)
+        if len(base) != d:
+            raise RankMismatchError(f"edge base {base} does not have rank {d}")
+        if not 1 <= axis <= d:
+            raise ValueError(f"edge axis {axis} out of range 1..{d}")
+        return (*base, axis)
+
+    @staticmethod
+    def _view(key) -> Edge:
+        return _new(Edge, (key[:-1], key[-1]))
 
     def value(self, edge: Edge | tuple[Vector, int]) -> int:
         base, axis = edge
-        return self._entries.get(Edge(tuple(base), axis), 0)
+        return self._entries.get((*base, axis), 0)
 
     def support(self) -> list[Edge]:
-        return sorted(self._entries)
-
-    def translate(self, v: Vector) -> "EdgeFlow":
-        if len(v) != self.d:
-            raise RankMismatchError(f"vector {v} does not have rank {self.d}")
-        return EdgeFlow._of(
-            self.d,
-            {
-                Edge(tuple(map(add, base, v)), axis): coeff
-                for (base, axis), coeff in self._entries.items()
-            },
-        )
+        return [self._view(key) for key in sorted(self._entries)]
 
     def boundary(self) -> VertexChain:
-        # Unit vectors only for the axes in use: building all d of them costs d^2.
-        units = {axis: basis_vector(self.d, axis) for axis in {axis for _, axis in self._entries}}
+        # Unit vectors only for the axes in use (all d cost d^2). map stops at
+        # the unit vector's end: adding one to a key gives the edge's head.
+        units = {axis: basis_vector(self.d, axis) for axis in {key[-1] for key in self._entries}}
         chain: dict[Vector, int] = {}
-        for (base, axis), coeff in self._entries.items():
-            _accumulate(chain, tuple(map(add, base, units[axis])), coeff)
-            _accumulate(chain, base, -coeff)
+        for key, coeff in self._entries.items():
+            _accumulate(chain, tuple(map(add, key, units[key[-1]])), coeff)
+            _accumulate(chain, key[:-1], -coeff)
         return VertexChain._of(self.d, chain)
 
     def is_cycle(self) -> bool:
@@ -231,13 +239,13 @@ class EdgeFlow(Chain):
         """The canonical JSON text of the sorted entries:
         ``[{"axis":a,"base":[...],"mult":m},...]``."""
         row = '{"axis":%d,"base":' + _json_ints_template(self.d) + ',"mult":%d}'
-        rows = [row % (axis, *base, coeff) for (base, axis), coeff in self.entries()]
+        entries = self._entries
+        rows = [row % (key[-1], *key[:-1], entries[key]) for key in sorted(entries)]
         return "[" + ",".join(rows) + "]"
 
     def __str__(self) -> str:
         """The human text of the sorted entries: ``[(x, y):axis:+m, ...]``."""
-        rows = [f"{_vec_text(base)}:{axis}:{coeff:+d}" for (base, axis), coeff in self.entries()]
-        return "[" + ", ".join(rows) + "]"
+        return "[" + ", ".join(self._rows(_vec_text(["%d"] * self.d) + ":%d:%+d")) + "]"
 
 
 class _PathFields(NamedTuple):
@@ -265,21 +273,18 @@ def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> Pat
     backwards. The result does not depend on free reduction of the input.
     """
     position = [0] * d
-    entries: dict[Edge, int] = {}
+    entries: dict[tuple[int, ...], int] = {}
     get = entries.get
-    # Edge keys are built by tuple.__new__: the named tuple's own __new__ is
-    # a Python-level call per letter.
-    new = tuple.__new__
     for axis, sign in letters:
         if not 1 <= axis <= d:
             raise WordSyntaxError(f"generator index {axis} out of range 1..{d}")
         if sign == 1:
-            key = new(Edge, (tuple(position), axis))
+            key = (*position, axis)
             entries[key] = get(key, 0) + 1
             position[axis - 1] += 1
         elif sign == -1:
             position[axis - 1] -= 1
-            key = new(Edge, (tuple(position), axis))
+            key = (*position, axis)
             entries[key] = get(key, 0) - 1
         else:
             raise ValueError(f"letter sign must be +1 or -1, got {sign}")
@@ -287,7 +292,7 @@ def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> Pat
     if 0 in entries.values():
         entries = {key: coeff for key, coeff in entries.items() if coeff}
     # The endpoint is ints by construction: skip the public check.
-    return new(PathEvaluation, (tuple(position), EdgeFlow._of(d, entries)))
+    return _new(PathEvaluation, (tuple(position), EdgeFlow._of(d, entries)))
 
 
 def evaluate_path(word: Word) -> PathEvaluation:

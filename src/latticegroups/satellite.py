@@ -20,7 +20,7 @@ from .homology import (
     algebraic_area,
     plaquette_boundary,
 )
-from .lattice import Edge, EdgeFlow, Vector, _accumulate, _json_ints, _vec_text, vec_add, vec_neg
+from .lattice import EdgeFlow, Vector, _accumulate, _json_ints, _vec_text, vec_add, vec_neg
 from .words import (
     GroupElement,
     Letter,
@@ -137,21 +137,21 @@ def from_word(word: str | Iterable[Letter], k: int) -> SatelliteElement:
     """
     letters = parse_letters(word, GENERATOR_NAMES) if isinstance(word, str) else word
     position = [0, 0]
-    entries: dict[Edge, int] = {}
+    entries: dict[tuple[int, int, int], int] = {}
     for axis, sign in letters:
         if not 1 <= axis <= 3:
             raise WordSyntaxError(f"generator index {axis} out of range 1..3")
         if sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         if axis == 3:
-            for edge, edge_sign in _boundary_edges(Plaquette._of(tuple(position), 1, 2)):
+            for edge, edge_sign in _boundary_edges((*position, 1, 2)):
                 _accumulate(entries, edge, sign * edge_sign)
         elif sign > 0:
-            _accumulate(entries, Edge(tuple(position), axis), k)
+            _accumulate(entries, (*position, axis), k)
             position[axis - 1] += 1
         else:
             position[axis - 1] -= 1
-            _accumulate(entries, Edge(tuple(position), axis), -k)
+            _accumulate(entries, (*position, axis), -k)
     end = tuple(position)
     for edge, coeff in monomial_flow(end)._entries.items():
         _accumulate(entries, edge, -k * coeff)

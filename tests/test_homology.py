@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -260,20 +261,27 @@ class TestPlaquetteLimit:
         with pytest.raises(InputTooLargeError):
             decompose_cycle(flow)
 
-    def test_planar_count_comes_before_any_plaquette(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(Plaquette, "_of", classmethod(lambda cls, *key: built.append(key)))
-        with pytest.raises(InputTooLargeError):
-            decompose_cycle(flow_of("x1^1000 x2^1001 x1^-1000 x2^-1001"))
-        assert built == []
+    @staticmethod
+    def refusal_peak_bytes(flow):
+        """Peak bytes allocated while decompose_cycle refuses ``flow``.
+        Plaquette keys are plain tuples, so no constructor can be watched;
+        the 1000 x 1001 plaquettes of the refused answer would take over
+        100 MB, the count of a 4002-edge flow well under 1 MB."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputTooLargeError):
+                decompose_cycle(flow)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
+    def test_planar_count_comes_before_any_plaquette(self):
+        flow = flow_of("x1^1000 x2^1001 x1^-1000 x2^-1001")
+        assert self.refusal_peak_bytes(flow) < 2**21
 
-    def test_d3_count_comes_before_any_plaquette(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(Plaquette, "_of", classmethod(lambda cls, *key: built.append(key)))
-        with pytest.raises(InputTooLargeError):
-            decompose_cycle(flow_of("x1^1000 x2^1001 x1^-1000 x2^-1001", d=3))
-        assert built == []
+    def test_d3_count_comes_before_any_plaquette(self):
+        flow = flow_of("x1^1000 x2^1001 x1^-1000 x2^-1001", d=3)
+        assert self.refusal_peak_bytes(flow) < 2**21
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_d3_bound_never_passes_the_peel(self, d):

@@ -138,8 +138,7 @@ class TestFlowAlgebra:
             for a, b in pairs:
                 kind = type(a)
                 results = [a + b, a - b, a - a, -a, 0 * a, a * 0, rng.randint(-3, 3) * a]
-                if kind is not PlaquetteSum:
-                    results.append(a.translate(shift))
+                results.append(a.translate(shift))
                 for h in results:
                     assert type(h) is kind
                     assert kind(d, h.entries()) == h
@@ -152,6 +151,8 @@ class TestFlowAlgebra:
             EdgeFlow(2) - EdgeFlow(3)
         with pytest.raises(RankMismatchError):
             EdgeFlow(2).translate((1, 2, 3))
+        with pytest.raises(RankMismatchError, match=r"vector \[1\] does not have rank 2"):
+            VertexChain(2).translate([1])
 
     def test_concatenation_identity_example(self):
         lhs = flow_of("x1 x2") + flow_of("x1^-1").translate((1, 1))
@@ -281,3 +282,116 @@ def test_json_encoding_sorted():
 def test_flow_value_lookup():
     assert COMMUTATOR_FLOW.value(((0, 0), 1)) == 1
     assert COMMUTATOR_FLOW.value(((5, 5), 1)) == 0
+
+
+class TestTranslateReadsIndex:
+    """A translation vector is read through operator.index, like every
+    chain coordinate."""
+
+    FLOW = EdgeFlow(2, {((0, 0), 1): 1, ((1, 0), 2): -2})
+    VERTICES = VertexChain(2, {(0, 0): 1, (1, -1): -1})
+
+    @pytest.mark.parametrize("v", [[1.5, 0], (0, 2.0), ["1", 0], "12"])
+    def test_float_and_str_vectors_are_refused(self, v):
+        with pytest.raises(TypeError):
+            self.FLOW.translate(v)
+        with pytest.raises(TypeError):
+            self.VERTICES.translate(v)
+
+    def test_bools_read_as_ints(self):
+        for chain in (self.FLOW, self.VERTICES):
+            moved = chain.translate([True, False])
+            assert moved == chain.translate((1, 0))
+            assert all(type(n) is int for key, _ in moved.entries() for n in _ints(key))
+
+    def test_int_lists_match_tuples(self):
+        for chain in (self.FLOW, self.VERTICES):
+            assert chain.translate([3, -4]) == chain.translate((3, -4))
+
+    def test_plaquette_sums_translate_with_their_boundary(self):
+        ps = PlaquetteSum(3, {((0, 1, 0), 1, 3): -4, ((2, 0, 0), 2, 3): 1})
+        assert ps.translate([1, True, -2]).boundary_flow() == ps.boundary_flow().translate((1, 1, -2))
+        assert ps.translate((1, 1, -2)).entries() == [
+            (Plaquette((1, 2, -2), 1, 3), -4), (Plaquette((3, 1, -2), 2, 3), 1)
+        ]
+
+
+def _ints(key):
+    """The integers of a public key: a vertex, an Edge or a Plaquette."""
+    if isinstance(key, Edge):
+        return (*key.base, key.axis)
+    if isinstance(key, Plaquette):
+        return (*key.base, key.i, key.j)
+    return key
+
+
+class TestLookups:
+    """value() and coefficient() read any (base, ...) sequence."""
+
+    def test_edge_value(self):
+        flow = EdgeFlow(2, {((0, 0), 1): 2})
+        assert flow.value(([0, 0], 1)) == flow.value(((0, 0), 1)) == flow.value(Edge((0, 0), 1)) == 2
+        assert flow.value(([0, 0], 2)) == 0
+
+    def test_plaquette_coefficient(self):
+        ps = PlaquetteSum(3, {((0, 1, 0), 1, 3): -4})
+        for key in (([0, 1, 0], 1, 3), ((0, 1, 0), 1, 3), Plaquette((0, 1, 0), 1, 3)):
+            assert ps.coefficient(key) == -4
+        assert ps.coefficient(([0, 1, 0], 1, 2)) == 0
+
+
+@st.composite
+def chain_pairs(draw):
+    """A rank d in 1..4 and (edge, coeff) and (plaquette, coeff) pairs on
+    coordinates -5..5, with repeats and zeros; bases are tuples or lists."""
+    d = draw(st.integers(1, 4))
+    base = st.tuples(*[st.integers(-5, 5)] * d)
+    coeff = st.integers(-3, 3)
+    edges = draw(st.lists(st.tuples(st.tuples(base, st.integers(1, d)), coeff), max_size=12))
+    planes = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    plaquettes = draw(
+        st.lists(st.tuples(st.tuples(base, st.sampled_from(planes)), coeff), max_size=12)
+        if planes
+        else st.just([])
+    )
+    plaquettes = [((b, i, j), c) for (b, (i, j)), c in plaquettes]
+    as_list = draw(st.booleans())
+    return d, edges, plaquettes, as_list
+
+
+def _summed_sorted(pairs):
+    """Reference: coefficients summed per nested key, zeros dropped, sorted
+    on the nested keys."""
+    totals = {}
+    for key, coeff in pairs:
+        totals[key] = totals.get(key, 0) + coeff
+    return sorted((key, coeff) for key, coeff in totals.items() if coeff)
+
+
+@given(chain_pairs())
+def test_flat_keys_read_back_as_sorted_views(case):
+    d, edges, plaquettes, as_list = case
+    box = list if as_list else tuple
+    flow = EdgeFlow(d, [((box(base), axis), coeff) for (base, axis), coeff in edges])
+    ps = PlaquetteSum(d, [((box(base), i, j), coeff) for (base, i, j), coeff in plaquettes])
+    for chain, pairs, view in ((flow, edges, Edge), (ps, plaquettes, Plaquette)):
+        expected = _summed_sorted(pairs)
+        assert chain.entries() == expected
+        assert all(type(key) is view and type(key.base) is tuple for key, _ in chain.entries())
+        assert chain == type(chain)(d, chain.entries())
+    assert flow.support() == [key for key, _ in _summed_sorted(edges)]
+    assert all(type(key) is Edge for key in flow.support())
+    edge_rows = _summed_sorted(edges)
+    assert json.loads(flow.as_json()) == [
+        {"axis": axis, "base": list(base), "mult": m} for (base, axis), m in edge_rows
+    ]
+    assert str(flow) == "[" + ", ".join(
+        f"({', '.join(map(str, base))}):{axis}:{m:+d}" for (base, axis), m in edge_rows
+    ) + "]"
+    plaquette_rows = _summed_sorted(plaquettes)
+    assert json.loads(ps.as_json()) == [
+        {"base": list(base), "i": i, "j": j, "mult": m} for (base, i, j), m in plaquette_rows
+    ]
+    assert str(ps) == "[" + ", ".join(
+        f"({', '.join(map(str, base))}):({i},{j}):{m:+d}" for (base, i, j), m in plaquette_rows
+    ) + "]"

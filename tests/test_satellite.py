@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticegroups import (
-    Edge,
     EdgeFlow,
     Letter,
     MetabelianElement,
@@ -59,10 +58,11 @@ def square_boundary(n, k=1):
     built straight from its four sides (n can be large)."""
     edges = {}
     for t in range(n):
-        edges[Edge((t, 0), 1)] = k
-        edges[Edge((t, n), 1)] = -k
-        edges[Edge((n, t), 2)] = k
-        edges[Edge((0, t), 2)] = -k
+        edges[t, 0, 1] = k
+        edges[t, n, 1] = -k
+        edges[n, t, 2] = k
+        edges[0, t, 2] = -k
+    # Flat (*base, axis) keys, as EdgeFlow stores them.
     return EdgeFlow._of(2, edges)
 
 
