@@ -86,7 +86,7 @@ def canonical_cocycle(g1: Vector, g2: Vector) -> EdgeFlow:
             _run(entries, corner, j, lo_j, hi_j, sign)
             corner[i] = lo_i
             _run(entries, corner, j, lo_j, hi_j, -sign)
-    return EdgeFlow._of(d, entries)
+    return EdgeFlow._cycle(d, entries)
 
 
 def _rectangle_edges(g1: Vector, g2: Vector) -> int:
@@ -121,7 +121,7 @@ def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> Edg
     def lookup(vec: Vector) -> EdgeFlow:
         flow = shifts.get(tuple(vec))
         if flow is None:
-            return EdgeFlow(d)
+            return EdgeFlow._cycle(d, {})
         if not flow.is_cycle():
             raise ValueError(f"coboundary value at {tuple(vec)} is not a cycle")
         return flow
@@ -161,6 +161,8 @@ class Cocycle:
         self.shifts = {vec: flow for vec, flow in summed.items() if flow}
 
     def value(self, g1: Vector, g2: Vector) -> EdgeFlow:
+        if not len(g1) == len(g2) == self.d:
+            raise RankMismatchError(f"vector ranks {len(g1)}, {len(g2)} do not match cocycle rank {self.d}")
         flow = canonical_cocycle(g1, g2) * self.k
         if self.shifts:
             flow = flow + coboundary(self.shifts, g1, g2)

@@ -60,7 +60,7 @@ def plaquette_boundary(p: Plaquette) -> EdgeFlow:
     sign convention in the package hangs off this choice.
     """
     # Four distinct edges with nonzero signs: valid by construction.
-    return EdgeFlow._of(p.d, dict(_boundary_edges((*p.base, p.i, p.j))))
+    return EdgeFlow._cycle(p.d, dict(_boundary_edges((*p.base, p.i, p.j))))
 
 
 def _boundary_edges(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -93,8 +93,7 @@ class PlaquetteSum(Chain):
         return _new(Plaquette, (key[:-2], key[-2], key[-1]))
 
     def coefficient(self, plaquette: Plaquette | tuple[Vector, int, int]) -> int:
-        base, i, j = plaquette
-        return self._entries.get((*base, i, j), 0)
+        return self._entries.get(self._key(plaquette, self.d), 0)
 
     def total(self) -> int:
         return sum(self._entries.values())
@@ -105,7 +104,7 @@ class PlaquetteSum(Chain):
         for plaquette, coeff in self._entries.items():
             for edge, sign in _boundary_edges(plaquette):
                 _accumulate(entries, edge, sign * coeff)
-        return EdgeFlow._of(self.d, entries)
+        return EdgeFlow._cycle(self.d, entries)
 
     def as_json(self) -> str:
         """The canonical JSON text of the sorted entries:

@@ -9,7 +9,7 @@ only the view that ``entries()`` and ``support()`` return.
 
 from __future__ import annotations
 
-from operator import add, index
+from operator import add, index, sub
 from typing import Iterable, Mapping, NamedTuple
 
 from .words import Letter, RankMismatchError, Word, WordSyntaxError, _new
@@ -186,20 +186,70 @@ class VertexChain(Chain):
         return vertex
 
     def value(self, vertex: Vector) -> int:
-        return self._entries.get(tuple(vertex), 0)
+        return self._entries.get(self._key(vertex, self.d), 0)
+
+
+def _carried(flow, f, g, op):
+    """``flow = op(f, g)`` of two edge flows, given the boundary ``op`` of theirs
+    when both are known. An empty second boundary leaves the first as it is."""
+    if flow is not NotImplemented:
+        a, b = f._boundary, g._boundary
+        if a is not None and b is not None:
+            flow._boundary = op(a, b) if b else a
+    return flow
 
 
 class EdgeFlow(Chain):
-    """Finitely supported integer multiplicities on positively oriented edges."""
+    """Finitely supported integer multiplicities on positively oriented edges,
+    which remember their boundary once it is known."""
 
-    __slots__ = ()
+    __slots__ = ("_boundary",)  # a VertexChain, or None until known; chains never change
 
-    # perfbench/spans.py finds traced methods in vars(EdgeFlow), which holds
-    # only names bound in this class body, so the inherited ones are bound here.
-    __init__, __add__, __sub__, __neg__, __mul__, __rmul__, translate = (
-        Chain.__init__, Chain.__add__, Chain.__sub__, Chain.__neg__, Chain.__mul__, Chain.__rmul__,
-        Chain.translate,
-    )
+    # perfbench/spans.py finds traced methods in vars(EdgeFlow): define them in this body.
+    def __init__(self, d: int, items=()):
+        Chain.__init__(self, d, items)
+        self._boundary = None  # public input: computed on first use
+
+    @classmethod
+    def _of(cls, d: int, entries: dict, boundary: VertexChain | None = None):
+        """``Chain._of``, plus the flow's boundary when the caller knows it."""
+        flow = object.__new__(cls)
+        flow.d = d
+        flow._entries = entries
+        flow._boundary = boundary
+        return flow
+
+    @classmethod
+    def _cycle(cls, d: int, entries: dict):
+        """Trusted constructor for a flow that is a cycle by construction."""
+        return cls._of(d, entries, VertexChain._of(d, {}))
+
+    # Known boundaries are carried: d(f +- g) = df +- dg, d(-f) = -df, d(nf) = n df
+    # and d(T_v f) = T_v df. An empty boundary, a cycle's, is shared as it is.
+    def __add__(self, other):
+        return _carried(Chain.__add__(self, other), self, other, add)
+
+    def __sub__(self, other):
+        return _carried(Chain.__sub__(self, other), self, other, sub)
+
+    def __neg__(self):
+        flow = Chain.__neg__(self)
+        flow._boundary = self._boundary and -self._boundary
+        return flow
+
+    def __mul__(self, scalar: int):
+        flow = Chain.__mul__(self, scalar)
+        if flow is not NotImplemented:
+            flow._boundary = self._boundary and self._boundary * scalar
+        return flow
+
+    __rmul__ = __mul__
+
+    def translate(self, v: Vector):
+        v = tuple(v)  # read twice below
+        flow = Chain.translate(self, v)
+        flow._boundary = self._boundary and self._boundary.translate(v)
+        return flow
 
     @staticmethod
     def _key(key, d: int) -> tuple[int, ...]:
@@ -216,21 +266,22 @@ class EdgeFlow(Chain):
         return _new(Edge, (key[:-1], key[-1]))
 
     def value(self, edge: Edge | tuple[Vector, int]) -> int:
-        base, axis = edge
-        return self._entries.get((*base, axis), 0)
+        return self._entries.get(self._key(edge, self.d), 0)
 
     def support(self) -> list[Edge]:
         return [self._view(key) for key in sorted(self._entries)]
 
     def boundary(self) -> VertexChain:
-        # Unit vectors only for the axes in use (all d cost d^2). map stops at
-        # the unit vector's end: adding one to a key gives the edge's head.
-        units = {axis: basis_vector(self.d, axis) for axis in {key[-1] for key in self._entries}}
-        chain: dict[Vector, int] = {}
-        for key, coeff in self._entries.items():
-            _accumulate(chain, tuple(map(add, key, units[key[-1]])), coeff)
-            _accumulate(chain, key[:-1], -coeff)
-        return VertexChain._of(self.d, chain)
+        if self._boundary is None:
+            # Unit vectors only for the axes in use (all d cost d^2). map stops
+            # at the unit vector's end: adding one to a key gives the edge's head.
+            units = {axis: basis_vector(self.d, axis) for axis in {key[-1] for key in self._entries}}
+            chain: dict[Vector, int] = {}
+            for key, coeff in self._entries.items():
+                _accumulate(chain, tuple(map(add, key, units[key[-1]])), coeff)
+                _accumulate(chain, key[:-1], -coeff)
+            self._boundary = VertexChain._of(self.d, chain)
+        return self._boundary
 
     def is_cycle(self) -> bool:
         return not self.boundary()
@@ -292,7 +343,14 @@ def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> Pat
     if 0 in entries.values():
         entries = {key: coeff for key, coeff in entries.items() if coeff}
     # The endpoint is ints by construction: skip the public check.
-    return _new(PathEvaluation, (tuple(position), EdgeFlow._of(d, entries)))
+    end = tuple(position)
+    return _new(PathEvaluation, (end, EdgeFlow._of(d, entries, _path_boundary(end))))
+
+
+def _path_boundary(end: Vector) -> VertexChain:
+    """The boundary of a path from the origin to ``end``: empty for a loop."""
+    origin = (0,) * len(end)
+    return VertexChain._of(len(end), {end: 1, origin: -1} if end != origin else {})
 
 
 def evaluate_path(word: Word) -> PathEvaluation:

@@ -20,10 +20,10 @@ from .homology import Plaquette
 from .lattice import (
     EdgeFlow,
     Vector,
-    VertexChain,
     _accumulate,
     _json_ints,
     _json_ints_template,
+    _path_boundary,
     _vec_text,
     basis_vector,
     evaluate_path,
@@ -48,8 +48,7 @@ class MetabelianElement(GroupElement):
             raise RankMismatchError(
                 f"endpoint rank {len(endpoint)} does not match flow rank {flow.d}"
             )
-        expected = VertexChain(flow.d, [(endpoint, 1), ((0,) * flow.d, -1)])
-        if flow.boundary() != expected:
+        if flow.boundary() != _path_boundary(endpoint):
             raise ValueError("flow boundary does not match the endpoint")
         self.endpoint = endpoint
         self.flow = flow

@@ -155,7 +155,7 @@ def from_word(word: str | Iterable[Letter], k: int) -> SatelliteElement:
     end = tuple(position)
     for edge, coeff in monomial_flow(end)._entries.items():
         _accumulate(entries, edge, -k * coeff)
-    return SatelliteElement._of(k, end, EdgeFlow._of(2, entries))
+    return SatelliteElement._of(k, end, EdgeFlow._cycle(2, entries))
 
 
 def z_torsion_order(k: int) -> int | None:

@@ -176,6 +176,16 @@ class TestCanonicalCocycle:
         with pytest.raises(RankMismatchError):
             canonical_cocycle((1, 2), (1, 2, 3))
 
+    def test_cocycle_value_checks_its_rank(self):
+        # A rank-2 table gives no rank-3 value, empty or not.
+        table = Cocycle(2, 1)
+        for g1, g2 in (((0, 1, 0), (1, 0, 0)), ((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1, 0)), ((1,), (0,))):
+            with pytest.raises(RankMismatchError, match="do not match cocycle rank 2"):
+                table.value(g1, g2)
+            with pytest.raises(RankMismatchError):
+                table(g1, g2)
+        assert table([1, 0], [0, 1]) == canonical_cocycle((1, 0), (0, 1))
+
 
 class _CorruptedCocycle(Cocycle):
     """Canonical rule with one value overwritten by an extra plaquette."""

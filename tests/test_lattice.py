@@ -5,19 +5,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latticegroups import (
+    Cocycle,
     Edge,
     EdgeFlow,
     Letter,
+    MetabelianElement,
+    NotACycleError,
     Plaquette,
     PlaquetteSum,
     RankMismatchError,
     VertexChain,
     Word,
+    algebraic_area,
+    canonical_cocycle,
     decompose_cycle,
     evaluate_letters,
     evaluate_path,
     is_loop,
     parse_word,
+    satellite,
 )
 from helpers import flow_of, random_loop_flow, random_loop_word, random_word, w
 
@@ -339,6 +345,45 @@ class TestLookups:
             assert ps.coefficient(key) == -4
         assert ps.coefficient(([0, 1, 0], 1, 2)) == 0
 
+    def test_vertex_value(self):
+        chain = VertexChain(2, {(0, 0): 3})
+        assert chain.value([0, 0]) == chain.value((0, 0)) == chain.value((False, 0)) == 3
+
+
+class TestLookupsReadKeysLikeTheConstructor:
+    """A lookup key is read through its kind's own key check: a float or a
+    string is refused, not truncated, as are a wrong rank and a bad axis."""
+
+    def test_edge_value(self):
+        flow = EdgeFlow(2, {((0, 0), 1): 2})
+        for key in (((0.0, 0), 1), ((0.5, 0), 1), ((0, 0), 1.0), ((0, "0"), 1)):
+            with pytest.raises(TypeError):
+                flow.value(key)
+        with pytest.raises(RankMismatchError):
+            flow.value(((0, 0, 0), 1))
+        for axis in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                flow.value(((0, 0), axis))
+
+    def test_vertex_value(self):
+        chain = VertexChain(2, {(0, 0): 3})
+        for key in ((0.0, False), (0.5, 0), ("0", 0)):
+            with pytest.raises(TypeError):
+                chain.value(key)
+        with pytest.raises(RankMismatchError):
+            chain.value((0, 0, 0))
+
+    def test_plaquette_coefficient(self):
+        ps = PlaquetteSum(3, {((0, 1, 0), 1, 3): -4})
+        for key in (((0.0, 1, 0), 1, 3), ((0, 1, 0), 1.0, 3), ((0, 1, 0), 1, "3")):
+            with pytest.raises(TypeError):
+                ps.coefficient(key)
+        with pytest.raises(RankMismatchError):
+            ps.coefficient(((0, 1), 1, 2))
+        for i, j in ((3, 1), (1, 1), (1, 4)):
+            with pytest.raises(ValueError, match="bad plaquette axes"):
+                ps.coefficient(((0, 1, 0), i, j))
+
 
 @st.composite
 def chain_pairs(draw):
@@ -395,3 +440,129 @@ def test_flat_keys_read_back_as_sorted_views(case):
     assert str(ps) == "[" + ", ".join(
         f"({', '.join(map(str, base))}):({i},{j}):{m:+d}" for (base, i, j), m in plaquette_rows
     ) + "]"
+
+
+# --- boundaries carried from the code that built a flow -----------------------
+
+
+def _fresh_boundary(flow):
+    """The boundary of the flow's entries rebuilt through the public
+    constructor, which knows no boundary and computes it."""
+    return EdgeFlow(flow.d, flow.entries()).boundary()
+
+
+@st.composite
+def built_flows(draw, d):
+    """A rank-d flow from one of the builders that pass its boundary, or from
+    the public constructor, on coordinates -4..4."""
+    coord = st.integers(-4, 4)
+    vec = st.tuples(*[coord] * d)
+    builders = ["path", "cocycle", "public"] + (["plaquettes"] if d >= 2 else [])
+    builders += ["satellite"] if d == 2 else []
+    builder = draw(st.sampled_from(builders))
+    if builder == "path":
+        letters = draw(st.lists(st.tuples(st.integers(1, d), st.sampled_from((1, -1))), max_size=10))
+        if draw(st.booleans()):  # walk back to the origin: a loop
+            end = evaluate_letters(letters, d).endpoint
+            letters += [(axis, -1 if c > 0 else 1) for axis, c in enumerate(end, 1) for _ in range(abs(c))]
+        return evaluate_letters(letters, d).flow
+    if builder == "cocycle":
+        return canonical_cocycle(draw(vec), draw(vec))
+    if builder == "plaquettes":
+        planes = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+        pairs = draw(st.lists(st.tuples(st.tuples(vec, st.sampled_from(planes)), coord), max_size=6))
+        return PlaquetteSum(d, [((base, i, j), c) for (base, (i, j)), c in pairs]).boundary_flow()
+    if builder == "satellite":
+        letters = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), max_size=10))
+        return satellite.from_word(letters, draw(st.integers(-3, 3))).cycle
+    edges = st.tuples(st.tuples(vec, st.integers(1, d)), coord)
+    return EdgeFlow(d, draw(st.lists(edges, max_size=8)))
+
+
+@st.composite
+def carried_flows(draw):
+    """Built flows run through a random chain of +, -, negation, scalar *
+    (0 and negative included) and translate; every intermediate result."""
+    d = draw(st.integers(1, 4))
+    flow = draw(built_flows(d))
+    results = [flow]
+    for step in draw(st.lists(st.sampled_from(["+", "-", "neg", "*", "rmul", "translate"]), max_size=6)):
+        if step in ("+", "-"):
+            other = draw(built_flows(d))
+            flow = flow + other if step == "+" else flow - other
+        elif step == "neg":
+            flow = -flow
+        elif step in ("*", "rmul"):
+            n = draw(st.integers(-3, 3))
+            flow = flow * n if step == "*" else n * flow
+        else:
+            flow = flow.translate(draw(st.tuples(*[st.integers(-4, 4)] * d)))
+        results.append(flow)
+    return results
+
+
+class TestCarriedBoundary:
+    @given(carried_flows())
+    def test_carried_boundary_equals_a_fresh_one(self, results):
+        for flow in results:
+            assert flow.boundary() == _fresh_boundary(flow)
+            assert flow.is_cycle() == (not _fresh_boundary(flow))
+
+    def test_builders_hand_over_their_boundary(self):
+        # The answers of the builders and of their sums need no recomputation.
+        endpoint, path = evaluate_path(parse_word("x1 x2^2 x1^-3", 2))
+        cycles = [
+            canonical_cocycle((2, -1), (3, 4)),
+            satellite.from_word("x y z x^-1", 2).cycle,
+            PlaquetteSum(2, {((0, 0), 1, 2): 5}).boundary_flow(),
+        ]
+        assert path._boundary == VertexChain(2, {endpoint: 1, (0, 0): -1})
+        for cycle in cycles:
+            assert cycle._boundary == VertexChain(2)
+        for flow in (path + cycles[0], -path, 3 * path, path.translate((1, 1)), cycles[1] - cycles[2]):
+            assert flow._boundary is not None
+        assert EdgeFlow(2, path.entries())._boundary is None
+        assert (path + EdgeFlow(2, path.entries()))._boundary is None
+
+    def test_translate_reads_an_iterator_once(self):
+        path = flow_of("x1 x2")
+        assert path.translate(iter((1, 2))).boundary() == VertexChain(2, {(2, 3): 1, (1, 2): -1})
+
+
+class TestPublicFlowsAreChecked:
+    """A flow from the public constructor carries no boundary, so every
+    check computes its boundary and refuses a wrong one."""
+
+    OPEN = EdgeFlow(2, {((0, 0), 1): 1})
+
+    def _open_flows(self):
+        # The bad flow on its own, and mixed with trusted cycles.
+        cycle = canonical_cocycle((2, 1), (-1, 3))
+        return [self.OPEN, self.OPEN + cycle, cycle - self.OPEN, 2 * self.OPEN.translate((1, 1))]
+
+    def test_metabelian_element(self):
+        for flow in self._open_flows():
+            with pytest.raises(ValueError, match="does not match the endpoint"):
+                MetabelianElement((0, 0), flow)
+        with pytest.raises(ValueError, match="does not match the endpoint"):
+            MetabelianElement((0, 1), self.OPEN)
+        assert MetabelianElement((1, 0), self.OPEN).flow == self.OPEN
+
+    def test_area_and_decompose(self):
+        for flow in self._open_flows():
+            with pytest.raises(NotACycleError):
+                algebraic_area(flow)
+            with pytest.raises(NotACycleError):
+                decompose_cycle(flow)
+        with pytest.raises(NotACycleError):
+            decompose_cycle(EdgeFlow(3, {((0, 0, 0), 3): 1}))
+
+    def test_satellite_element(self):
+        for flow in self._open_flows():
+            with pytest.raises(NotACycleError):
+                satellite.SatelliteElement(1, (0, 0), flow)
+
+    def test_cocycle_shifts(self):
+        for flow in self._open_flows():
+            with pytest.raises(ValueError, match="is not a cycle"):
+                Cocycle(2, 1, {(1, 0): flow})
