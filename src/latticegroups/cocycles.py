@@ -9,6 +9,7 @@ coboundary perturbation and classifies such cocycles completely.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Mapping
 
 from .homology import algebraic_area
@@ -62,6 +63,7 @@ def canonical_cocycle(g1: Vector, g2: Vector) -> EdgeFlow:
     g1_t for i < t < j, and 0 for t > j. Each rectangle's boundary is
     emitted as four runs of unit edges.
     """
+    g1, g2 = tuple(map(index, g1)), tuple(map(index, g2))
     if len(g1) != len(g2):
         raise RankMismatchError(f"vector ranks differ: {len(g1)} vs {len(g2)}")
     d = len(g1)
@@ -86,7 +88,7 @@ def canonical_cocycle(g1: Vector, g2: Vector) -> EdgeFlow:
             _run(entries, corner, j, lo_j, hi_j, sign)
             corner[i] = lo_i
             _run(entries, corner, j, lo_j, hi_j, -sign)
-    return EdgeFlow._cycle(d, entries)
+    return EdgeFlow._of(d, entries, True)
 
 
 def _rectangle_edges(g1: Vector, g2: Vector) -> int:
@@ -121,7 +123,7 @@ def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> Edg
     def lookup(vec: Vector) -> EdgeFlow:
         flow = shifts.get(tuple(vec))
         if flow is None:
-            return EdgeFlow._cycle(d, {})
+            return EdgeFlow._of(d, {}, True)
         if not flow.is_cycle():
             raise ValueError(f"coboundary value at {tuple(vec)} is not a cycle")
         return flow
@@ -157,7 +159,7 @@ class Cocycle:
                 raise ValueError("a nonzero shift at the origin breaks normalization")
             summed[vec] = summed[vec] + flow if vec in summed else flow
         self.d = d
-        self.k = k
+        self.k = index(k)
         self.shifts = {vec: flow for vec, flow in summed.items() if flow}
 
     def value(self, g1: Vector, g2: Vector) -> EdgeFlow:

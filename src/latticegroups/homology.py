@@ -60,7 +60,7 @@ def plaquette_boundary(p: Plaquette) -> EdgeFlow:
     sign convention in the package hangs off this choice.
     """
     # Four distinct edges with nonzero signs: valid by construction.
-    return EdgeFlow._cycle(p.d, dict(_boundary_edges((*p.base, p.i, p.j))))
+    return EdgeFlow._of(p.d, dict(_boundary_edges((*p.base, p.i, p.j))), True)
 
 
 def _boundary_edges(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -104,7 +104,7 @@ class PlaquetteSum(Chain):
         for plaquette, coeff in self._entries.items():
             for edge, sign in _boundary_edges(plaquette):
                 _accumulate(entries, edge, sign * coeff)
-        return EdgeFlow._cycle(self.d, entries)
+        return EdgeFlow._of(self.d, entries, True)
 
     def as_json(self) -> str:
         """The canonical JSON text of the sorted entries:

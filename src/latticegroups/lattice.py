@@ -9,10 +9,10 @@ only the view that ``entries()`` and ``support()`` return.
 
 from __future__ import annotations
 
-from operator import add, index, sub
+from operator import add, index
 from typing import Iterable, Mapping, NamedTuple
 
-from .words import Letter, RankMismatchError, Word, WordSyntaxError, _new
+from .words import Letter, RankMismatchError, Word, _checked_letters, _new
 
 Vector = tuple[int, ...]
 
@@ -189,66 +189,56 @@ class VertexChain(Chain):
         return self._entries.get(self._key(vertex, self.d), 0)
 
 
-def _carried(flow, f, g, op):
-    """``flow = op(f, g)`` of two edge flows, given the boundary ``op`` of theirs
-    when both are known. An empty second boundary leaves the first as it is."""
-    if flow is not NotImplemented:
-        a, b = f._boundary, g._boundary
-        if a is not None and b is not None:
-            flow._boundary = op(a, b) if b else a
-    return flow
-
-
 class EdgeFlow(Chain):
     """Finitely supported integer multiplicities on positively oriented edges,
-    which remember their boundary once it is known."""
+    which remember once they are known to be a cycle."""
 
-    __slots__ = ("_boundary",)  # a VertexChain, or None until known; chains never change
+    __slots__ = ("_closed",)  # True once known to be a cycle; chains never change
 
     # perfbench/spans.py finds traced methods in vars(EdgeFlow): define them in this body.
     def __init__(self, d: int, items=()):
         Chain.__init__(self, d, items)
-        self._boundary = None  # public input: computed on first use
+        self._closed = False  # public input: checked on first use
 
     @classmethod
-    def _of(cls, d: int, entries: dict, boundary: VertexChain | None = None):
-        """``Chain._of``, plus the flow's boundary when the caller knows it."""
+    def _of(cls, d: int, entries: dict, closed: bool = False):
+        """``Chain._of``, plus whether the caller knows the flow is a cycle."""
         flow = object.__new__(cls)
         flow.d = d
         flow._entries = entries
-        flow._boundary = boundary
+        flow._closed = closed
         return flow
 
-    @classmethod
-    def _cycle(cls, d: int, entries: dict):
-        """Trusted constructor for a flow that is a cycle by construction."""
-        return cls._of(d, entries, VertexChain._of(d, {}))
-
-    # Known boundaries are carried: d(f +- g) = df +- dg, d(-f) = -df, d(nf) = n df
-    # and d(T_v f) = T_v df. An empty boundary, a cycle's, is shared as it is.
+    # Sums and differences of cycles are cycles, and so are the negation,
+    # multiples and translates of one.
     def __add__(self, other):
-        return _carried(Chain.__add__(self, other), self, other, add)
+        flow = Chain.__add__(self, other)
+        if flow is not NotImplemented:
+            flow._closed = self._closed and other._closed
+        return flow
 
     def __sub__(self, other):
-        return _carried(Chain.__sub__(self, other), self, other, sub)
+        flow = Chain.__sub__(self, other)
+        if flow is not NotImplemented:
+            flow._closed = self._closed and other._closed
+        return flow
 
     def __neg__(self):
         flow = Chain.__neg__(self)
-        flow._boundary = self._boundary and -self._boundary
+        flow._closed = self._closed
         return flow
 
     def __mul__(self, scalar: int):
         flow = Chain.__mul__(self, scalar)
         if flow is not NotImplemented:
-            flow._boundary = self._boundary and self._boundary * scalar
+            flow._closed = self._closed
         return flow
 
     __rmul__ = __mul__
 
     def translate(self, v: Vector):
-        v = tuple(v)  # read twice below
         flow = Chain.translate(self, v)
-        flow._boundary = self._boundary and self._boundary.translate(v)
+        flow._closed = self._closed
         return flow
 
     @staticmethod
@@ -272,19 +262,20 @@ class EdgeFlow(Chain):
         return [self._view(key) for key in sorted(self._entries)]
 
     def boundary(self) -> VertexChain:
-        if self._boundary is None:
+        chain: dict[Vector, int] = {}
+        if not self._closed:
             # Unit vectors only for the axes in use (all d cost d^2). map stops
             # at the unit vector's end: adding one to a key gives the edge's head.
             units = {axis: basis_vector(self.d, axis) for axis in {key[-1] for key in self._entries}}
-            chain: dict[Vector, int] = {}
             for key, coeff in self._entries.items():
                 _accumulate(chain, tuple(map(add, key, units[key[-1]])), coeff)
                 _accumulate(chain, key[:-1], -coeff)
-            self._boundary = VertexChain._of(self.d, chain)
-        return self._boundary
+        return VertexChain._of(self.d, chain)
 
     def is_cycle(self) -> bool:
-        return not self.boundary()
+        if not self._closed:
+            self._closed = not self.boundary()
+        return self._closed
 
     def as_json(self) -> str:
         """The canonical JSON text of the sorted entries:
@@ -326,31 +317,22 @@ def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> Pat
     position = [0] * d
     entries: dict[tuple[int, ...], int] = {}
     get = entries.get
-    for axis, sign in letters:
-        if not 1 <= axis <= d:
-            raise WordSyntaxError(f"generator index {axis} out of range 1..{d}")
-        if sign == 1:
+    for axis, sign in _checked_letters(letters, d):
+        if sign > 0:
             key = (*position, axis)
             entries[key] = get(key, 0) + 1
             position[axis - 1] += 1
-        elif sign == -1:
+        else:
             position[axis - 1] -= 1
             key = (*position, axis)
             entries[key] = get(key, 0) - 1
-        else:
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
     # Edges walked both ways cancel to zero; they leave the support here, once.
     if 0 in entries.values():
         entries = {key: coeff for key, coeff in entries.items() if coeff}
-    # The endpoint is ints by construction: skip the public check.
+    # The endpoint is ints by construction: skip the public check. A path
+    # that ends at the origin is a loop, so its flow is a cycle.
     end = tuple(position)
-    return _new(PathEvaluation, (end, EdgeFlow._of(d, entries, _path_boundary(end))))
-
-
-def _path_boundary(end: Vector) -> VertexChain:
-    """The boundary of a path from the origin to ``end``: empty for a loop."""
-    origin = (0,) * len(end)
-    return VertexChain._of(len(end), {end: 1, origin: -1} if end != origin else {})
+    return _new(PathEvaluation, (end, EdgeFlow._of(d, entries, not any(end))))
 
 
 def evaluate_path(word: Word) -> PathEvaluation:

@@ -23,7 +23,6 @@ from .lattice import (
     _accumulate,
     _json_ints,
     _json_ints_template,
-    _path_boundary,
     _vec_text,
     basis_vector,
     evaluate_path,
@@ -48,7 +47,8 @@ class MetabelianElement(GroupElement):
             raise RankMismatchError(
                 f"endpoint rank {len(endpoint)} does not match flow rank {flow.d}"
             )
-        if flow.boundary() != _path_boundary(endpoint):
+        origin = (0,) * len(endpoint)
+        if flow.boundary()._entries != ({endpoint: 1, origin: -1} if endpoint != origin else {}):
             raise ValueError("flow boundary does not match the endpoint")
         self.endpoint = endpoint
         self.flow = flow

@@ -24,7 +24,7 @@ from .lattice import EdgeFlow, Vector, _accumulate, _json_ints, _vec_text, vec_a
 from .words import (
     GroupElement,
     Letter,
-    WordSyntaxError,
+    _checked_letters,
     commutator as element_commutator,
     parse_letters,
 )
@@ -135,14 +135,11 @@ def from_word(word: str | Iterable[Letter], k: int) -> SatelliteElement:
     for each z^+-1 read at position p, where ``w_xy`` is the word with its
     z letters deleted. Its cost is linear in the word.
     """
-    letters = parse_letters(word, GENERATOR_NAMES) if isinstance(word, str) else word
+    letters = parse_letters(word, GENERATOR_NAMES) if isinstance(word, str) else _checked_letters(word, 3)
+    k = index(k)
     position = [0, 0]
     entries: dict[tuple[int, int, int], int] = {}
     for axis, sign in letters:
-        if not 1 <= axis <= 3:
-            raise WordSyntaxError(f"generator index {axis} out of range 1..3")
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         if axis == 3:
             for edge, edge_sign in _boundary_edges((*position, 1, 2)):
                 _accumulate(entries, edge, sign * edge_sign)
@@ -155,7 +152,7 @@ def from_word(word: str | Iterable[Letter], k: int) -> SatelliteElement:
     end = tuple(position)
     for edge, coeff in monomial_flow(end)._entries.items():
         _accumulate(entries, edge, -k * coeff)
-    return SatelliteElement._of(k, end, EdgeFlow._cycle(2, entries))
+    return SatelliteElement._of(k, end, EdgeFlow._of(2, entries, True))
 
 
 def z_torsion_order(k: int) -> int | None:

@@ -132,6 +132,19 @@ class GroupElement:
         return g * self * g.inverse()
 
 
+def _checked_letters(letters: Iterable, d: int) -> tuple:
+    """The letters as a tuple, once each distinct one has passed the letter
+    check, in order of first appearance: its axis must be in 1..d and its
+    sign +1 or -1. So the first bad letter is the one reported."""
+    letters = tuple(letters)
+    for axis, sign in dict.fromkeys(letters):
+        if not 1 <= axis <= d:
+            raise WordSyntaxError(f"generator index {axis} out of range 1..{d}")
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+    return letters
+
+
 class _Inverses(dict):
     """A table from each letter met to its inverse, filled on first use: one
     per call, so mapping a word through ``__getitem__`` runs in C and builds
@@ -164,14 +177,8 @@ class Word(GroupElement):
     def __init__(self, letters: Iterable[Letter | tuple[int, int]], d: int):
         if d < 1:
             raise ValueError(f"rank must be positive, got {d}")
-        letters = tuple(letters)
-        # Every distinct input letter is checked, letters that cancel too.
-        for axis, sign in dict.fromkeys(letters):
-            if not 1 <= axis <= d:
-                raise WordSyntaxError(f"generator index {axis} out of range 1..{d}")
-            if sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        self.letters = free_reduce(letters)
+        # Every input letter is checked, letters that cancel too.
+        self.letters = free_reduce(_checked_letters(letters, d))
         self.d = d
 
     @classmethod

@@ -186,6 +186,26 @@ class TestCanonicalCocycle:
                 table(g1, g2)
         assert table([1, 0], [0, 1]) == canonical_cocycle((1, 0), (0, 1))
 
+    def test_vectors_are_read_as_integers(self):
+        # A float or a string is refused, not dropped; a bool reads as 0/1.
+        for g1, g2 in (((1.5, 0), (0, 1)), ((0, 1), (2, 0.5)), ((0, "1"), (1, 0))):
+            with pytest.raises(TypeError):
+                canonical_cocycle(g1, g2)
+            with pytest.raises(TypeError):
+                Cocycle(2, 1)(g1, g2)
+        flow = canonical_cocycle((0, True), (True, 0))
+        assert flow == canonical_cocycle((0, 1), (1, 0))
+        assert all(type(c) is int for edge, _ in flow.entries() for c in (*edge.base, edge.axis))
+        # Each vector is read once, so iterators work as in translate.
+        assert canonical_cocycle(iter((0, 2)), iter((3, 0))) == canonical_cocycle((0, 2), (3, 0))
+
+    def test_level_is_read_as_an_integer(self):
+        for k in (1.5, "2", None):
+            with pytest.raises(TypeError):
+                Cocycle(2, k)
+        table = Cocycle(2, True)
+        assert type(table.k) is int and table((1, 0), (0, 1)) == canonical_cocycle((1, 0), (0, 1))
+
 
 class _CorruptedCocycle(Cocycle):
     """Canonical rule with one value overwritten by an extra plaquette."""

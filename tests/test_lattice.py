@@ -16,6 +16,7 @@ from latticegroups import (
     RankMismatchError,
     VertexChain,
     Word,
+    WordSyntaxError,
     algebraic_area,
     canonical_cocycle,
     decompose_cycle,
@@ -23,8 +24,10 @@ from latticegroups import (
     evaluate_path,
     is_loop,
     parse_word,
+    plaquette_boundary,
     satellite,
 )
+from latticegroups import lattice
 from helpers import flow_of, random_loop_flow, random_loop_word, random_word, w
 
 
@@ -67,6 +70,30 @@ class TestEvaluate:
             evaluate_letters([Letter(1, 1), (1, sign)], 1)
         with pytest.raises(ValueError, match=f"letter sign must be \\+1 or -1, got {sign}"):
             Word([(1, sign)], 1)
+        # Word, the path fold and the satellite fold (over x, y, z) report
+        # the first bad letter alike, a bad axis or a bad sign.
+        bad_sign = (ValueError, f"letter sign must be +1 or -1, got {sign}")
+        cases = [
+            ([(3, 1), (2, -1), (1, sign), (4, 1)], bad_sign),
+            ([(2, -1), (4, 1), (1, sign)], (WordSyntaxError, "generator index 4 out of range 1..3")),
+            ([(1, 1), (0, sign), (1, -1)], (WordSyntaxError, "generator index 0 out of range 1..3")),
+            ([(3, sign), (3, -sign)], bad_sign),
+        ]
+        callers = [
+            lambda letters: Word(letters, 3),
+            lambda letters: evaluate_letters(iter(letters), 3),
+            lambda letters: satellite.from_word(letters, 1),
+        ]
+        for letters, expected in cases:
+            for caller in callers:
+                with pytest.raises(ValueError) as caught:
+                    caller(letters)
+                assert (type(caught.value), str(caught.value)) == expected
+
+    def test_letters_must_be_hashable(self):
+        for call in (lambda: evaluate_letters([[1, 1]], 2), lambda: satellite.from_word([[1, 1]], 1)):
+            with pytest.raises(TypeError, match="unhashable"):
+                call()
 
     @given(words_st(3))
     def test_boundary_matches_endpoint(self, word):
@@ -445,6 +472,19 @@ def test_flat_keys_read_back_as_sorted_views(case):
 # --- boundaries carried from the code that built a flow -----------------------
 
 
+def _count_walks(monkeypatch):
+    """A list that gains two items for each edge a boundary walk reads."""
+    walks = []
+    accumulate = lattice._accumulate
+
+    def counted(*args):
+        walks.append(args)
+        accumulate(*args)
+
+    monkeypatch.setattr(lattice, "_accumulate", counted)
+    return walks
+
+
 def _fresh_boundary(flow):
     """The boundary of the flow's entries rebuilt through the public
     constructor, which knows no boundary and computes it."""
@@ -508,21 +548,47 @@ class TestCarriedBoundary:
             assert flow.boundary() == _fresh_boundary(flow)
             assert flow.is_cycle() == (not _fresh_boundary(flow))
 
-    def test_builders_hand_over_their_boundary(self):
-        # The answers of the builders and of their sums need no recomputation.
+    def test_builders_hand_over_their_boundary(self, monkeypatch):
+        # The builders' cycles, and sums, differences, negations, multiples
+        # and translates of them, are known cycles: no check walks them. An
+        # open path, public input and anything mixed with either are walked.
         endpoint, path = evaluate_path(parse_word("x1 x2^2 x1^-3", 2))
+        loop = evaluate_path(parse_word("x1 x2^2 x1^-1 x2^-2", 2)).flow
         cycles = [
+            loop,
             canonical_cocycle((2, -1), (3, 4)),
             satellite.from_word("x y z x^-1", 2).cycle,
             PlaquetteSum(2, {((0, 0), 1, 2): 5}).boundary_flow(),
+            plaquette_boundary(Plaquette((1, -1), 1, 2)),
         ]
-        assert path._boundary == VertexChain(2, {endpoint: 1, (0, 0): -1})
-        for cycle in cycles:
-            assert cycle._boundary == VertexChain(2)
-        for flow in (path + cycles[0], -path, 3 * path, path.translate((1, 1)), cycles[1] - cycles[2]):
-            assert flow._boundary is not None
-        assert EdgeFlow(2, path.entries())._boundary is None
-        assert (path + EdgeFlow(2, path.entries()))._boundary is None
+        known = cycles + [
+            cycles[0] + cycles[1], cycles[2] - cycles[3], -cycles[4], 3 * cycles[1], cycles[2] * -2,
+            cycles[3].translate((1, 1)),
+        ]
+        public = EdgeFlow(2, loop.entries())
+        walked = [path, -path, 3 * path, path.translate((1, 1)), path + cycles[1], public, loop + public]
+        walks = _count_walks(monkeypatch)
+        for flow in known:
+            assert flow and flow.is_cycle() and not flow.boundary()
+        assert walks == []
+        assert path.boundary() == VertexChain(2, {endpoint: 1, (0, 0): -1})
+        for flow in walked:
+            walks.clear()
+            flow.is_cycle()
+            assert len(walks) == 2 * len(flow)
+
+    def test_is_cycle_walks_a_public_cycle_once(self, monkeypatch):
+        flow = EdgeFlow(2, canonical_cocycle((2, -1), (3, 4)).entries())
+        walks = _count_walks(monkeypatch)
+        for _ in range(3):
+            assert flow.is_cycle()
+            assert not flow.boundary()
+        assert len(walks) == 2 * len(flow)
+        # Once known, the flow passes the bit on.
+        moved = (flow + flow).translate((1, 2))
+        walks.clear()
+        assert moved.is_cycle()
+        assert walks == []
 
     def test_translate_reads_an_iterator_once(self):
         path = flow_of("x1 x2")

@@ -318,6 +318,16 @@ class TestValidation:
             for p in (a, b, a * b, b * a, a.inverse(), (a * b).inverse()):
                 assert SatelliteElement(p.k, p.vec, p.cycle) == p
 
+    def test_level_is_read_as_an_integer(self):
+        # from_word reads k as the public constructor does.
+        for k in (1.5, "1", None):
+            with pytest.raises(TypeError):
+                from_word("x y x^-1 y^-1", k)
+            with pytest.raises(TypeError):
+                SatelliteElement(k, (0, 0), EdgeFlow(2))
+        element = from_word("x y x^-1 y^-1", True)
+        assert type(element.k) is int and element == from_word("x y x^-1 y^-1", 1)
+
     def test_rank_two_required(self):
         with pytest.raises(ValueError):
             SatelliteElement(1, (0, 0, 0), EdgeFlow(2))
