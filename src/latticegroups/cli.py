@@ -195,13 +195,15 @@ def _cmd_member(args) -> tuple[str, int]:
 def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:
     """Execute one command line with the process's parser; returns
     (output, error message, exit code)."""
-    try:
-        # A bad line is reported as one marker: argparse's usage text, and the
-        # help text of -h, go to a throwaway buffer, not into the results.
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            args = _parse(tokens)
-    except SystemExit:
-        return None, "bad arguments", 2
+    args = _read_argv(tokens)
+    if args is None:
+        try:
+            # A bad line is reported as one marker: argparse's usage text, and
+            # the help text of -h, go to a throwaway buffer, not into the results.
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                args = _parse_args(tokens)
+        except SystemExit:
+            return None, "bad arguments", 2
     if args.verb == "batch":
         return None, "batch cannot be nested", 2
     try:
@@ -304,8 +306,30 @@ def _add_common(sub, *, d=True, k=False, group=None) -> None:
     sub.add_argument("--json", action="store_true", help="emit one JSON document")
 
 
-# The top-level parser, and its subparser of each verb by name.
-_Parsers = tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]
+# The top-level parser, and each verb's subparser and _table by verb name.
+_Parsers = tuple[argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, tuple]]]
+
+
+def _table(sub: argparse.ArgumentParser) -> tuple:
+    """What :func:`_read_argv` needs of a verb, taken from the actions its
+    parser holds: the action of each exact store or store_true option
+    string, the positionals, the required options, the Namespace defaults
+    (argparse sets each dest's first action default, then the parser's
+    set_defaults for dests still unset), and the pattern of a "-"-led
+    argument such as -2 (None when an option looks like a negative number)."""
+    options, positionals, defaults = {}, [], {}
+    for action in sub._actions:
+        if not action.option_strings:
+            positionals.append(action)
+        elif isinstance(action, (argparse._StoreAction, argparse._StoreTrueAction)):
+            options.update(dict.fromkeys(action.option_strings, action))
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in sub._defaults.items():
+        defaults.setdefault(dest, value)
+    required = [action for action in sub._actions if action.required and action.option_strings]
+    negative = None if sub._has_negative_number_optionals else sub._negative_number_matcher
+    return options, positionals, required, defaults, negative
 
 
 # Each verb's defaults name its handler; main and batch lines look the name up
@@ -382,7 +406,7 @@ def _build_parser() -> _Parsers:
     _add_common(p, k=True, group="metabelian")
     p.set_defaults(handler="_cmd_batch")
 
-    return parser, verbs.choices
+    return parser, {name: (sub, _table(sub)) for name, sub in verbs.choices.items()}
 
 
 # The parsers of this process: built by the first main call, not at import,
@@ -397,7 +421,56 @@ def _parser() -> _Parsers:
     return _PARSER
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace :func:`_parse_args` gives, read without argparse when
+    every token after a known verb is one of the verb's exact store or
+    store_true option strings, or an argument in argparse's sense: a token
+    not led by "-", or one the verb's parser reads as a negative number. An
+    option takes the next token as its value, and a repeated option's last
+    value wins. Anything else (help, "--", "--opt=value", an abbreviation,
+    an unknown option, a bad value, a missing or extra positional, a missing
+    required option) gives None, and argparse decides."""
+    _, verbs = _parser()
+    if not argv or argv[0] not in verbs:
+        return None
+    options, positionals, required, defaults, negative = verbs[argv[0]][1]
+
+    def argument(token: str) -> bool:
+        return not token.startswith("-") or (negative is not None and negative.match(token) is not None)
+
+    args = dict(defaults, verb=argv[0])
+    seen, free, values = set(), [], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if argument(token):
+            free.append(token)
+            continue
+        action = options.get(token)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            args[action.dest] = action.const
+            continue
+        token = next(tokens, None)
+        if token is None or not argument(token):
+            return None
+        values.append((action, token))
+    if len(free) != len(positionals) or not seen.issuperset(required):
+        return None
+    # Each value through its action's own type and choices, as argparse reads it.
+    try:
+        for action, token in [*values, *zip(positionals, free)]:
+            value = token if action.type is None else action.type(token)
+            if action.choices is not None and value not in action.choices:
+                return None
+            args[action.dest] = value
+    except (ValueError, TypeError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(**args)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``parser.parse_args(argv)``, parsed once: the top-level parser would
     classify every token and then hand ``argv[1:]`` to the verb's subparser,
     which does it again, so a known verb goes to its subparser directly.
@@ -405,13 +478,20 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     arguments the subparser leaves over) goes to the top-level parser, which
     writes its own usage, help and error text."""
     parser, verbs = _parser()
-    sub = verbs.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
+    if argv and argv[0] in verbs:
+        args, extras = verbs[argv[0]][0].parse_known_args(argv[1:])
         if not extras:
             args.verb = argv[0]
             return args
     return parser.parse_args(argv)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``: :func:`_read_argv` reads the plain argv
+    of nearly every call and batch line, and argparse reads, refuses or
+    answers (help) the rest."""
+    args = _read_argv(argv)
+    return _parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

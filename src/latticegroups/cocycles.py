@@ -116,19 +116,20 @@ def _run(entries: dict, corner: list[int], index: int, lo: int, hi: int, sign: i
 
 def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> EdgeFlow:
     """u(g1) + (u(g2) shifted by g1) - u(g1+g2), for finitely supported cycle-valued u."""
+    g1, g2 = tuple(map(index, g1)), tuple(map(index, g2))
     if len(g1) != len(g2):
         raise RankMismatchError(f"vector ranks differ: {len(g1)} vs {len(g2)}")
     d = len(g1)
 
     def lookup(vec: Vector) -> EdgeFlow:
-        flow = shifts.get(tuple(vec))
+        flow = shifts.get(vec)
         if flow is None:
             return EdgeFlow._of(d, {}, True)
         if not flow.is_cycle():
-            raise ValueError(f"coboundary value at {tuple(vec)} is not a cycle")
+            raise ValueError(f"coboundary value at {vec} is not a cycle")
         return flow
 
-    return lookup(g1) + lookup(g2).translate(tuple(g1)) - lookup(vec_add(g1, g2))
+    return lookup(g1) + lookup(g2).translate(g1) - lookup(vec_add(g1, g2))
 
 
 class Cocycle:
@@ -148,7 +149,7 @@ class Cocycle:
         summed: dict[Vector, EdgeFlow] = {}
         origin = (0,) * d
         for vec, flow in shifts.items() if isinstance(shifts, Mapping) else shifts:
-            vec = tuple(vec)
+            vec = tuple(map(index, vec))
             if len(vec) != d:
                 raise RankMismatchError(f"shift vector {vec} does not have rank {d}")
             if flow.d != d:
@@ -163,6 +164,7 @@ class Cocycle:
         self.shifts = {vec: flow for vec, flow in summed.items() if flow}
 
     def value(self, g1: Vector, g2: Vector) -> EdgeFlow:
+        g1, g2 = tuple(map(index, g1)), tuple(map(index, g2))
         if not len(g1) == len(g2) == self.d:
             raise RankMismatchError(f"vector ranks {len(g1)}, {len(g2)} do not match cocycle rank {self.d}")
         flow = canonical_cocycle(g1, g2) * self.k

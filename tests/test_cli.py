@@ -597,6 +597,14 @@ PARSE_CASES = [shlex.split(line) for line in REUSE_LINES] + [
     [],
     ["--help"],
     ["Reduce", "x1"],
+    ["beta", "--k", "-2", "--json", "--json"],
+    ["cocycle", "-3,3", "0,-3"],
+    ["eval", "--group", "abelian", "--d", " 4", "x1"],
+    ["eval", "--group", "abelian", "--d", "x", "--d", "3", "x1"],
+    ["eval", "--d", "3", "x1"],
+    ["eval", "x1", "--group", "abelian", "--d"],
+    ["member", "--sub", "Q", "z"],
+    ["batch", "--eq", "lines.txt", "--k", "-1"],
 ]
 
 
@@ -617,12 +625,65 @@ def test_parse_matches_full_parser(argv):
     assert _parse_outcome(cli._parse, argv) == _parse_outcome(parser.parse_args, argv)
 
 
+# Each verb's options; "frobnicate" is no verb.
+_VERB_OPTIONS = {
+    "reduce": ("--d", "--json"), "eval": ("--group", "--d", "--k", "--json"),
+    "eq": ("--group", "--d", "--k", "--json"), "nf": ("--group", "--d", "--json"),
+    "decompose": ("--d", "--json"), "area": ("--d", "--json"), "cocycle": ("--json",),
+    "beta": ("--k", "--perturb", "--json"), "fox": ("--d", "--json"),
+    "member": ("--sub", "--k", "--json"), "batch": ("--group", "--d", "--k", "--json", "--eq"),
+    "frobnicate": ("--d",),
+}
+_INTS = st.sampled_from(("3", "-2", "+1", " 4", "1_0", "\u0663", "x"))
+_OPTION_VALUES = {
+    "--group": st.sampled_from((*REGISTRY, "bogus", "")),
+    "--sub": st.sampled_from((*SUBGROUPS, "Q", "m")),
+    "--d": _INTS,
+    "--k": _INTS,
+    "--perturb": st.sampled_from(("perturb.json", "-p.json")),
+}
+# Words and vectors: empty, with spaces, led by "-", or read as negative numbers.
+_PARSE_WORDS = st.one_of(
+    st.just("x1"), st.sampled_from(("", "x1 x2", " ", "-x1", "-", "-3", "-1,3", "2,0", "-1, 3", "3,-3"))
+)
+
+
+@st.composite
+def _parse_argv(draw):
+    """A verb, or an unknown one, with its options shuffled and repeated,
+    exact, abbreviated or as "--opt=value", its positionals (or 0 to 3 of
+    them), and now and then "--", help or an unknown option."""
+    verb = draw(st.sampled_from(sorted(_VERB_OPTIONS)))
+    pieces = []
+    for option in draw(st.lists(st.sampled_from(_VERB_OPTIONS[verb]), max_size=6)):
+        form = draw(st.integers(0, 9))
+        name = option[: max(3, len(option) - 2)] if form == 0 else option
+        value = draw(_OPTION_VALUES[option]) if option in _OPTION_VALUES else None
+        if value is None:
+            pieces.append([name])
+        else:
+            pieces.append([f"{name}={value}"] if form == 1 else [name, value])
+    count = draw(st.one_of(st.just(_VERBS.get(verb, 1)), st.integers(0, 3)))
+    pieces += [[draw(_PARSE_WORDS)] for _ in range(count)]
+    if draw(st.integers(0, 5)) == 0:
+        pieces.append([draw(st.sampled_from(("--", "-h", "--help", "--bogus")))])
+    return [verb, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_parse_argv())
+def test_drawn_parse_matches_full_parser(argv):
+    parser, _ = cli._parser()
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(parser.parse_args, argv)
+
+
 def test_batch_parses_each_line_once(tmp_path, monkeypatch, capsys):
-    # The call's argv and each good line take one parse_known_args each; the
-    # full parser takes two, its own and its verb's.
-    lines = ['reduce "x1 x1^-1 x2"', "cocycle -1,3 2,0", "beta --k 2", "eq --group free x1 x1"]
+    # A call or line of exact options, their values and positionals is read
+    # without argparse; an abbreviated option or "--opt=value" takes one
+    # parse_known_args, its verb's, and answers as the plain line does.
+    plain = ['reduce "x1 x1^-1 x2"', "cocycle -1,3 2,0", "beta --k -2", "eq --group free x1 x1", "eval --group abelian --d 3 x1"]
     commands = tmp_path / "commands.txt"
-    commands.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    commands.write_text("\n".join(plain) + "\n", encoding="utf-8")
     calls = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -632,8 +693,17 @@ def test_batch_parses_each_line_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
     assert main(["batch", str(commands)]) == 0
-    assert "error" not in capsys.readouterr().out
-    assert len(calls) == len(lines) + 1
+    answers = capsys.readouterr().out
+    assert "error" not in answers and calls == []
+    for line in ("eval --gro abelian --d 3 x1", "eval --group abelian --d=3 x1"):
+        commands.write_text(line + "\n", encoding="utf-8")
+        assert main(["batch", str(commands)]) == 0
+        assert capsys.readouterr().out == answers.split("\n")[-2] + "\n"
+        assert calls == ["latticegroups eval"]
+        calls.clear()
+        assert main(shlex.split(line)) == 0
+        assert capsys.readouterr().out == "(1, 0, 0)\n" and calls == ["latticegroups eval"]
+        calls.clear()
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])

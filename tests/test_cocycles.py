@@ -277,6 +277,27 @@ class TestCoboundary:
         with pytest.raises(ValueError):
             PerturbedCocycle(CanonicalCocycle(2), shifts)
 
+    def test_shift_vectors_are_read_as_integers(self):
+        # A float vector is refused, not stored under a key that no lattice
+        # vector looks up; a bool reads as 0/1.
+        unit = plaquette_boundary(Plaquette((0, 0), 1, 2))
+        for vec in ((1.5, 0), (0, "1")):
+            with pytest.raises(TypeError):
+                Cocycle(2, 1, {vec: unit})
+        table = Cocycle(2, 1, {(True, 0): unit})
+        assert [type(c) for vec in table.shifts for c in vec] == [int, int]
+        assert cocycle_index(table) == 1 and table((1, 0), (0, 1)) == canonical_cocycle((1, 0), (0, 1)) + unit
+
+    def test_vectors_are_read_once(self):
+        # Cocycle values and coboundaries read each vector once, so iterators
+        # work as in canonical_cocycle and translate.
+        shifts = {(1, 0): plaquette_boundary(Plaquette((0, 0), 1, 2))}
+        assert coboundary(shifts, iter((1, 0)), iter((0, 1))) == coboundary(shifts, (1, 0), (0, 1)) == shifts[(1, 0)]
+        for table in (Cocycle(2, 1), Cocycle(2, 2, shifts)):
+            assert table(iter((1, 0)), iter((0, 1))) == table((1, 0), (0, 1))
+        with pytest.raises(TypeError):
+            coboundary(shifts, (1.5, 0), (0, 1))
+
     def test_perturbed_values_stay_normalized_cycles(self):
         rng = random.Random(23)
         table = PerturbedCocycle(ScaledCocycle(2, 2), random_shifts(rng))
