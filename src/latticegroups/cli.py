@@ -17,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from .cocycles import Cocycle, _rectangle_edges, canonical_cocycle, cocycle_index
 from .homology import NotACycleError, algebraic_area, decompose_cycle, plaquette_sum_from_json
-from .lattice import _json_ints, _vec_text, evaluate_path
+from .lattice import _json_ints, _vec_text, abelian_image, evaluate_path
 from .metabelian import MetabelianElement, fox_image
 from .nilpotent import HeisenbergElement
 from .words import (
@@ -27,7 +27,6 @@ from .words import (
     WordSyntaxError,
     equal_images,
     free_reduce,
-    parse_letters,
     parse_word,
 )
 from . import satellite, words
@@ -91,11 +90,11 @@ def _answer(value, args) -> tuple[str, int]:
 # perfbench's tracer does) is the one they call.
 REGISTRY = {
     "free": (lambda text, args: parse_word(text, args.d), lambda word, args: word),
-    "abelian": (_parse_folded, lambda word, args: _Endpoint(evaluate_path(word).endpoint)),
+    "abelian": (_parse_folded, lambda word, args: _Endpoint(abelian_image(word))),
     "heisenberg": (_parse_folded, lambda word, args: HeisenbergElement.from_word(word)),
     "metabelian": (_parse_folded, lambda word, args: MetabelianElement.from_word(word)),
     "satellite": (
-        lambda text, args: Word._of(free_reduce(parse_letters(text, satellite.GENERATOR_NAMES)), 3),
+        lambda text, args: Word._of(free_reduce(*words._expand_names(text, satellite.GENERATOR_NAMES)), 3),
         lambda word, args: satellite.from_word(word.letters, args.k),
     ),
 }

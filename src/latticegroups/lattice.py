@@ -9,6 +9,7 @@ only the view that ``entries()`` and ``support()`` return.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import add, index
 from typing import Iterable, Mapping, NamedTuple
 
@@ -280,9 +281,14 @@ class EdgeFlow(Chain):
     def as_json(self) -> str:
         """The canonical JSON text of the sorted entries:
         ``[{"axis":a,"base":[...],"mult":m},...]``."""
-        row = '{"axis":%d,"base":' + _json_ints_template(self.d) + ',"mult":%d}'
         entries = self._entries
-        rows = [row % (key[-1], *key[:-1], entries[key]) for key in sorted(entries)]
+        if not entries:
+            return "[]"
+        row = '{"axis":%d,"base":' + _json_ints_template(self.d) + ',"mult":%d}'
+        keys = sorted(entries)
+        # Each row's values are gathered in C, from the columns of the keys.
+        *bases, axes = zip(*keys)
+        rows = map(row.__mod__, zip(axes, *bases, map(entries.__getitem__, keys)))
         return "[" + ",".join(rows) + "]"
 
     def __str__(self) -> str:
@@ -339,6 +345,15 @@ def evaluate_path(word: Word) -> PathEvaluation:
     return evaluate_letters(word.letters, word.d)
 
 
+def abelian_image(word: Word) -> Vector:
+    """The endpoint of the word's path, from its letter counts alone: no
+    flow is built."""
+    endpoint = [0] * word.d
+    for (axis, sign), times in Counter(word.letters).items():
+        endpoint[axis - 1] += sign * times
+    return tuple(endpoint)
+
+
 def is_loop(word: Word) -> bool:
     """Whether the word's path returns to the origin (kernel of abelianization)."""
-    return all(coord == 0 for coord in evaluate_path(word).endpoint)
+    return not any(abelian_image(word))

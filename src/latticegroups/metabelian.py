@@ -12,7 +12,7 @@ the word's path through the flow fold.
 
 from __future__ import annotations
 
-from operator import add, index
+from operator import index
 from typing import NamedTuple
 
 from .cocycles import monomial_flow, monomial_word
@@ -20,11 +20,9 @@ from .homology import Plaquette
 from .lattice import (
     EdgeFlow,
     Vector,
-    _accumulate,
     _json_ints,
     _json_ints_template,
     _vec_text,
-    basis_vector,
     evaluate_path,
     vec_add,
     vec_neg,
@@ -147,10 +145,12 @@ class FoxImage(_FoxFields):
         """The canonical JSON text: ``{"derivatives":[[{"coeff":c,"point":[...]},
         ...],...],"monomial":[...]}``, each component sorted on its points."""
         row = '{"coeff":%d,"point":' + _json_ints_template(len(self.monomial)) + "}"
-        components = [
-            "[" + ",".join([row % (component[point], *point) for point in sorted(component)]) + "]"
-            for component in self.derivatives
-        ]
+        components = []
+        for component in self.derivatives:
+            points = sorted(component)
+            # Each row's values are gathered in C, from the columns of the points.
+            rows = map(row.__mod__, zip(map(component.__getitem__, points), *zip(*points)))
+            components.append("[" + ",".join(rows) + "]")
         return (
             '{"derivatives":[' + ",".join(components) + '],"monomial":'
             + _json_ints(self.monomial) + "}"
@@ -173,29 +173,35 @@ def fox_image(word: Word) -> FoxImage:
 
     A positive letter on axis i contributes the module generator u_i; a
     negative letter contributes -t^{-e_i} u_i. Every diagonal entry is a
-    monomial, so the running diagonal is carried as its exponent vector.
+    monomial, so the running diagonal is carried as its exponent vector, one
+    list updated in place.
 
     Multiplying the running matrix by a letter's matrix gives
     ``[[a, b], [0, 1]] · [[c, e], [0, 1]] = [[ac, ae + b], [0, 1]]``, and
     the letter's corner ``e`` is 1 for a positive letter (``c = t^{e_i}``)
     and ``-c`` for a negative one (``c = t^{-e_i}``). So ``ae`` is the old
-    diagonal ``a`` or minus the new diagonal ``ac``, which the fold computes
-    anyway: the derivative on axis i gains ``sign`` at the exponent of
-    ``a`` or of ``ac``, and ``ac`` adds the exponents of ``a`` and ``c``.
+    diagonal ``a`` or minus the new diagonal ``ac``: the derivative on axis
+    i gains ``sign`` at the exponent of ``a``, read before a positive letter
+    adds ``e_i``, or at that of ``ac``, read after a negative letter takes
+    ``e_i`` away. Coefficients that cancel to zero are dropped once, at the
+    end.
     """
-    d = word.d
-    diagonal = (0,) * d
-    derivatives: list[dict] = [dict() for _ in range(d)]
-    # letter -> the exponent ±e_i of its diagonal entry, built once per call
-    # for the letters in use: all 2d of them would cost d^2.
-    steps = {}
-    for axis, sign in set(word.letters):
-        step = basis_vector(d, axis)
-        steps[axis, sign] = step if sign > 0 else vec_neg(step)
-    for letter in word.letters:
-        axis, sign = letter
-        product = tuple(map(add, diagonal, steps[letter]))
-        _accumulate(derivatives[axis - 1], diagonal if sign > 0 else product, sign)
-        diagonal = product
+    exponent = [0] * word.d
+    derivatives: list[dict] = [dict() for _ in range(word.d)]
+    for axis, sign in word.letters:
+        component = derivatives[axis - 1]
+        if sign > 0:
+            point = tuple(exponent)
+            component[point] = component.get(point, 0) + 1
+            exponent[axis - 1] += 1
+        else:
+            exponent[axis - 1] -= 1
+            point = tuple(exponent)
+            component[point] = component.get(point, 0) - 1
+    derivatives = [
+        {point: coeff for point, coeff in component.items() if coeff}
+        if 0 in component.values() else component
+        for component in derivatives
+    ]
     # The fold's exponents and coefficients are ints: skip the public check.
-    return tuple.__new__(FoxImage, (diagonal, tuple(derivatives)))
+    return tuple.__new__(FoxImage, (tuple(exponent), tuple(derivatives)))

@@ -48,14 +48,19 @@ class HeisenbergElement(GroupElement):
     @classmethod
     def from_word(cls, word: Word) -> "HeisenbergElement":
         """Fold unit steps: a step of sign s along axis j adds v_i * s to every
-        area entry (i, j) with i < j, at the pre-step position v."""
+        area entry (i, j) with i < j, at the pre-step position v. Areas that
+        return to zero are dropped once, at the end."""
         position = [0] * word.d
         areas: dict[tuple[int, int], int] = {}
+        get = areas.get
         for axis, sign in word.letters:
             for i in range(1, axis):
                 if position[i - 1]:
-                    _accumulate(areas, (i, axis), position[i - 1] * sign)
+                    key = (i, axis)
+                    areas[key] = get(key, 0) + position[i - 1] * sign
             position[axis - 1] += sign
+        if 0 in areas.values():
+            areas = {key: value for key, value in areas.items() if value}
         return cls._of(tuple(position), areas)
 
     def area(self, i: int, j: int) -> int:

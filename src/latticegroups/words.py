@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import re
-from itertools import compress, count, groupby
-from operator import ne
+from itertools import compress, count
+from operator import ne, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -227,11 +227,21 @@ class Word(GroupElement):
         return bool(self.letters)
 
     def __str__(self) -> str:
-        parts = []
-        for (axis, sign), run in groupby(self.letters):
-            exponent = sign * len(list(run))
-            parts.append(f"x{axis}" if exponent == 1 else f"x{axis}^{exponent}")
-        return " ".join(parts)
+        letters = self.letters
+        if not letters:
+            return ""
+        # A run starts at 0 and wherever a letter differs from the one before
+        # it: found in C, as is each run's (first letter, length) pair. The
+        # text of each distinct pair is written once.
+        starts = [0, *compress(count(1), map(ne, letters[1:], letters))]
+        ends = [*starts[1:], len(letters)]
+        runs = list(zip(map(letters.__getitem__, starts), map(sub, ends, starts)))
+        texts = {}
+        for run in set(runs):
+            (axis, sign), length = run
+            exponent = sign * length
+            texts[run] = f"x{axis}" if exponent == 1 else f"x{axis}^{exponent}"
+        return " ".join(map(texts.__getitem__, runs))
 
     def as_json(self) -> str:
         """The canonical JSON text ``{"word":"..."}``: the text needs no escapes."""
@@ -361,12 +371,9 @@ def parse_word(text: str, d: int) -> Word:
     return Word._of(free_reduce(codes, table), d)
 
 
-def parse_letters(text: str, alphabet: Sequence[str]) -> tuple[Letter, ...]:
-    """Parse a word over literal generator names into (not yet reduced) letters.
-
-    The axis of each letter is the 1-based position of its name in
-    ``alphabet``. Exponent syntax matches :func:`parse_word`.
-    """
+def _expand_names(text: str, alphabet: Sequence[str]) -> tuple[list[int], dict[Letter, int]]:
+    """:func:`_expand` of a word over literal generator names: the axis of
+    each letter is the 1-based position of its name in ``alphabet``."""
     positions = {name: index + 1 for index, name in enumerate(alphabet)}
 
     def axis_of(name: str, token: str) -> int:
@@ -375,5 +382,14 @@ def parse_letters(text: str, alphabet: Sequence[str]) -> tuple[Letter, ...]:
             raise WordSyntaxError(f"unknown generator {name!r}; expected one of {tuple(alphabet)}")
         return axis
 
-    codes, table = _expand(text, axis_of)
+    return _expand(text, axis_of)
+
+
+def parse_letters(text: str, alphabet: Sequence[str]) -> tuple[Letter, ...]:
+    """Parse a word over literal generator names into (not yet reduced) letters.
+
+    The axis of each letter is the 1-based position of its name in
+    ``alphabet``. Exponent syntax matches :func:`parse_word`.
+    """
+    codes, table = _expand_names(text, alphabet)
     return tuple(list(map(list(table).__getitem__, codes)))

@@ -1,7 +1,11 @@
-"""Shared builders for the test suite: seeded random words, loops, and flows."""
+"""Shared builders for the test suite: seeded random words, loops, and flows,
+and plain per-letter references for the folds and texts of a word."""
 
 import json
 import random
+from itertools import groupby
+
+from hypothesis import strategies as st
 
 from latticegroups import (
     Edge,
@@ -58,6 +62,74 @@ def shuffled_copy(flow: EdgeFlow, rng: random.Random) -> EdgeFlow:
 
 def edge(base, axis) -> Edge:
     return Edge(tuple(base), axis)
+
+
+def hypothesis_words(d=None, max_len=20):
+    """A Hypothesis strategy of words of up to ``max_len`` letters, in rank
+    ``d`` or in a drawn rank 1..4."""
+    ranks = st.integers(1, 4) if d is None else st.just(d)
+    return ranks.flatmap(
+        lambda d: st.lists(
+            st.tuples(st.integers(1, d), st.sampled_from((1, -1))).map(lambda t: Letter(*t)),
+            max_size=max_len,
+        ).map(lambda letters: Word(letters, d))
+    )
+
+
+def run_length_text(letters) -> str:
+    """The text of a word, one run of equal letters at a time."""
+    parts = []
+    for (axis, sign), run in groupby(letters):
+        exponent = sign * len(list(run))
+        parts.append(f"x{axis}" if exponent == 1 else f"x{axis}^{exponent}")
+    return " ".join(parts)
+
+
+def line_integral_areas(word) -> dict:
+    """The discrete line integrals of x_i dx_j for i < j, one letter at a
+    time over every pair, without the zero totals."""
+    d = word.d
+    position = [0] * d
+    areas = {(i, j): 0 for j in range(1, d + 1) for i in range(1, j)}
+    for axis, sign in word.letters:
+        for i in range(1, axis):
+            areas[i, axis] += position[i - 1] * sign
+        position[axis - 1] += sign
+    return {key: value for key, value in areas.items() if value}
+
+
+def _laurent_product(p: dict, q: dict) -> dict:
+    product = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            key = tuple(s + t for s, t in zip(a, b))
+            product[key] = product.get(key, 0) + x * y
+    return {key: coeff for key, coeff in product.items() if coeff}
+
+
+def _laurent_sum(p: dict, q: dict) -> dict:
+    total = dict(p)
+    for key, coeff in q.items():
+        total[key] = total.get(key, 0) + coeff
+    return {key: coeff for key, coeff in total.items() if coeff}
+
+
+def matrix_fox_fold(word) -> tuple:
+    """(monomial, derivatives) of the word's image under the matrices
+    [[t^{e_i}, u_i], [0, 1]] and their inverses [[t^{-e_i}, -t^{-e_i} u_i],
+    [0, 1]], multiplied one letter at a time, with Laurent polynomials as
+    maps from exponent vectors to coefficients:
+    [[a, b], [0, 1]] [[c, e], [0, 1]] = [[ac, ae + b], [0, 1]]."""
+    d = word.d
+    a = {(0,) * d: 1}
+    b = [{} for _ in range(d)]
+    for axis, sign in word.letters:
+        c = {tuple(sign if i == axis else 0 for i in range(1, d + 1)): 1}
+        corner = {(0,) * d: 1} if sign > 0 else {key: -coeff for key, coeff in c.items()}
+        b[axis - 1] = _laurent_sum(b[axis - 1], _laurent_product(a, corner))
+        a = _laurent_product(a, c)
+    (monomial,) = a
+    return monomial, tuple(b)
 
 
 # Reference encodings: the structure each type's as_json() text encodes,

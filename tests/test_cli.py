@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from latticegroups import MetabelianElement, cli, lattice, parse_word, words
+from latticegroups import MetabelianElement, cli, parse_word, words
 from latticegroups.cli import REGISTRY, SUBGROUPS, main
 
 HERE = Path(__file__).parent
@@ -190,14 +190,13 @@ def test_eq_folds_only_the_difference(group, monkeypatch, capsys):
     assert len(parse_word(word, 3)) == 10**4
     comm = "x1 x2 x1^-1 x2^-1"
     folded = []
-    evaluate_letters = lattice.evaluate_letters
+    read, fold = REGISTRY[group]
 
-    def counting(letters, d):
-        letters = list(letters)
-        folded.append(len(letters))
-        return evaluate_letters(letters, d)
+    def counting(word, args):
+        folded.append(len(word))
+        return fold(word, args)
 
-    monkeypatch.setattr(lattice, "evaluate_letters", counting)
+    monkeypatch.setitem(REGISTRY, group, (read, counting))
     assert main(["eq", "--group", group, "--d", "3", word, f"{word} {comm}"]) == (
         0 if group == "abelian" else 1
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from latticegroups import (
     EdgeFlow,
@@ -190,6 +190,15 @@ def test_empty_values():
             assert value.as_json() == reference_json(value)
             assert str(value) == TEXT_REFERENCE[type(value)](value)
     assert str(SatelliteElement.identity(2)) == "k=2 vec=(0, 0) cycle=[]"
+
+
+@given(st.sampled_from((1, 4)).flatmap(lambda d: words(d)))
+@example(Word.identity(1))
+@example(Word.identity(4))
+def test_flow_and_fox_json_at_rank_one_and_four(word):
+    flow, image = evaluate_letters(word.letters, word.d).flow, fox_image(word)
+    assert flow.as_json() == reference_json(flow)
+    assert image.as_json() == reference_json(image)
 
 
 def test_rank_one_vectors_have_no_trailing_comma():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from latticegroups import (
     EdgeFlow,
@@ -18,7 +19,7 @@ from latticegroups import (
     plaquette_element,
     word_problem,
 )
-from helpers import random_letters, random_loop_word, random_word, w
+from helpers import hypothesis_words, matrix_fox_fold, random_letters, random_loop_word, random_word, w
 
 
 def flow_slice(flow, axis):
@@ -239,3 +240,19 @@ class TestFoxOracle:
             else:
                 w2 = random_word(rng, d, 10)
             assert word_problem(w1, w2) == (fox_image(w1) == fox_image(w2))
+
+
+@given(hypothesis_words())
+def test_fox_matches_matrix_fold(word):
+    assert fox_image(word) == matrix_fox_fold(word)
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(hypothesis_words(d), min_size=5, max_size=5)))
+def test_fox_coefficients_that_cancel_leave_no_point(words):
+    # [[a, b], [c, e]] is trivial in the metabelian group: every coefficient
+    # its letters put down is taken away again.
+    u, a, b, c, e = words
+    double = commutator(commutator(a, b), commutator(c, e))
+    for word in (u * double, u * double * ~u):
+        assert fox_image(word) == matrix_fox_fold(word) == fox_image(word * ~double)
+    assert fox_image(u * double * ~u) == ((0,) * u.d, ({},) * u.d)

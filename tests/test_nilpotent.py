@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from latticegroups import (
     HeisenbergElement,
@@ -13,7 +14,7 @@ from latticegroups import (
     project_flow,
     word_is_trivial,
 )
-from helpers import random_letters, random_loop_word, random_word, w
+from helpers import hypothesis_words, line_integral_areas, random_letters, random_loop_word, random_word, w
 
 
 class TestEvaluate:
@@ -128,6 +129,33 @@ class TestAreaCrossCheck:
             assert flow and flow.is_cycle()
             for i, j in ((1, 2), (1, 3), (2, 3)):
                 assert elem.area(i, j) == algebraic_area(project_flow(flow, i, j))
+
+
+@given(hypothesis_words())
+@example(Word.identity(3))
+def test_areas_match_line_integrals(word):
+    elem = HeisenbergElement.from_word(word)
+    assert dict(elem.areas()) == line_integral_areas(word)
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(hypothesis_words(d), min_size=5, max_size=5)))
+def test_areas_that_return_to_zero_leave_no_key(words):
+    # u [[a, b], [c, e]] u^-1 is trivial in every 2-step nilpotent quotient,
+    # so each area its path builds up is taken back down to zero.
+    u, a, b, c, e = words
+    word = u * commutator(commutator(a, b), commutator(c, e)) * ~u
+    elem = HeisenbergElement.from_word(word)
+    assert elem.is_identity() and elem.areas() == [] and line_integral_areas(word) == {}
+
+
+def test_area_that_returns_to_zero_leaves_no_key():
+    # One counterclockwise square, then one clockwise: the area (1, 2) is +1
+    # half way and 0 at the end.
+    word = w("x1 x2 x1^-1 x2^-1 x1 x2 x1 x2^-1 x1^-1 x1^-1")
+    assert len(word) == 10
+    elem = HeisenbergElement.from_word(word)
+    assert elem.endpoint == (0, 0) and elem.areas() == [] and elem.area(1, 2) == 0
+    assert elem == HeisenbergElement.identity(2)
 
 
 def test_json_shape():

@@ -25,7 +25,7 @@ from latticegroups import (
 from latticegroups import words
 from latticegroups.satellite import SatelliteElement
 
-from helpers import random_letters, random_word
+from helpers import random_letters, random_word, run_length_text
 
 
 def letters_st(d, max_len=12):
@@ -470,6 +470,21 @@ def test_str_groups_runs():
     word = parse_word("x1^3 x2^-2 x1 x3 x3 x2^-1", 3)
     assert str(word) == "x1^3 x2^-2 x1 x3^2 x2^-1"
     assert str(Word.identity(2)) == ""
+
+
+@st.composite
+def run_words(draw):
+    """Words of runs of up to 5 equal letters, in rank 1 to 4."""
+    d = draw(st.integers(1, 4))
+    runs = draw(st.lists(st.tuples(st.integers(1, d), st.sampled_from((1, -1)), st.integers(1, 5))))
+    return Word([Letter(axis, sign) for axis, sign, length in runs for _ in range(length)], d)
+
+
+@given(run_words())
+@example(Word.identity(1))
+@example(Word.identity(4))
+def test_str_matches_run_length_reference(word):
+    assert str(word) == run_length_text(word.letters)
 
 
 class TestLetterLimit:
