@@ -145,12 +145,10 @@ class FoxImage(_FoxFields):
         """The canonical JSON text: ``{"derivatives":[[{"coeff":c,"point":[...]},
         ...],...],"monomial":[...]}``, each component sorted on its points."""
         row = '{"coeff":%d,"point":' + _json_ints_template(len(self.monomial)) + "}"
-        components = []
-        for component in self.derivatives:
-            points = sorted(component)
-            # Each row's values are gathered in C, from the columns of the points.
-            rows = map(row.__mod__, zip(map(component.__getitem__, points), *zip(*points)))
-            components.append("[" + ",".join(rows) + "]")
+        components = [
+            "[" + ",".join([row % (component[point], *point) for point in sorted(component)]) + "]"
+            for component in self.derivatives
+        ]
         return (
             '{"derivatives":[' + ",".join(components) + '],"monomial":'
             + _json_ints(self.monomial) + "}"

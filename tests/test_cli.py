@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from latticegroups import MetabelianElement, cli, parse_word, words
+from latticegroups import MetabelianElement, cli, lattice, parse_word, words
 from latticegroups.cli import REGISTRY, SUBGROUPS, main
 
 HERE = Path(__file__).parent
@@ -189,19 +189,27 @@ def test_eq_folds_only_the_difference(group, monkeypatch, capsys):
     word = " ".join(tokens)
     assert len(parse_word(word, 3)) == 10**4
     comm = "x1 x2 x1^-1 x2^-1"
-    folded = []
+    folded, evaluated = [], []
     read, fold = REGISTRY[group]
+    evaluate_letters = lattice.evaluate_letters
 
     def counting(word, args):
         folded.append(len(word))
         return fold(word, args)
 
+    def counting_letters(letters, d):
+        letters = list(letters)
+        evaluated.append(len(letters))
+        return evaluate_letters(letters, d)
+
     monkeypatch.setitem(REGISTRY, group, (read, counting))
+    monkeypatch.setattr(lattice, "evaluate_letters", counting_letters)
     assert main(["eq", "--group", group, "--d", "3", word, f"{word} {comm}"]) == (
         0 if group == "abelian" else 1
     )
     assert capsys.readouterr().out == ("equal\n" if group == "abelian" else "unequal\n")
     assert folded and sum(folded) <= len(comm.split()) + 2
+    assert sum(evaluated) <= len(comm.split()) + 2
 
 
 @pytest.mark.parametrize("group", [group for group in REGISTRY if group != "satellite"])
