@@ -9,6 +9,7 @@ all other verbs exit 0 on success and 2 on error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import re
@@ -191,6 +192,28 @@ def _cmd_member(args) -> tuple[str, int]:
     return (_dumps({"member": member}) if args.json else ("true" if member else "false")), 0
 
 
+class _Discard(io.TextIOBase):
+    """A text stream that drops whatever is written to it."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+# Where a batch line's usage, help and error text goes.
+_DISCARD = _Discard()
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that refuses argv without building its usage text
+    while its error text is dropped, as a batch line's is: argparse would
+    format the whole usage first, which costs more than the parse."""
+
+    def error(self, message):
+        if sys.stderr is _DISCARD:
+            self.exit(2)
+        super().error(message)
+
+
 def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:
     """Execute one command line with the process's parser; returns
     (output, error message, exit code)."""
@@ -198,8 +221,8 @@ def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:
     if args is None:
         try:
             # A bad line is reported as one marker: argparse's usage text, and
-            # the help text of -h, go to a throwaway buffer, not into the results.
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            # the help text of -h, are dropped, not put into the results.
+            with redirect_stdout(_DISCARD), redirect_stderr(_DISCARD):
                 args = _parse_args(tokens)
         except SystemExit:
             return None, "bad arguments", 2
@@ -212,54 +235,56 @@ def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:
         return None, str(exc), 2
 
 
-# One piece of a batch line as shlex.split reads it (POSIX mode, no comments):
-# a run of plain characters, a '...' string, a "..." string, a backslash
-# escape, or a run of the blanks that separate arguments. The patterns are
-# compiled on first use (re caches them), so only batch calls pay for it.
-_PIECE = r"""
-    (?P<plain>[^ \t\r\n'"\\]+)
-  | '(?P<single>[^']*)'
-  | "(?P<double>[^"\\]*(?:\\.[^"\\]*)*)"
-  | \\(?P<escaped>.)
-  | (?P<blank>[ \t\r\n]+)
-"""
+# A batch line is split as shlex.split splits it (POSIX mode, no comments).
+# An argument is a run of pieces: plain characters, a '...' string, a "..."
+# string (in which a backslash escapes only '"' and itself), or a backslash
+# escape; the blanks between arguments are " \t\r\n". Where no piece starts,
+# at an unclosed quote or at a backslash that ends the line, the pattern
+# makes an empty match, which no argument is. Every pattern is compiled on
+# first use, not at import, which each CLI launch pays for.
+_ARGUMENT = r"""(?:[^ \t\r\n'"\\]+|'[^']*'|"[^"\\]*(?:\\.[^"\\]*)*"|\\.)+|(?=['"\\])"""
+_QUOTED_PIECE = r"""'([^']*)'|"([^"\\]*(?:\\.[^"\\]*)*)"|\\(.)"""
 _OPEN_DOUBLE = r'"[^"\\]*(?:\\.[^"\\]*)*'
-# Inside "...", a backslash escapes only '"' and itself; before any other
-# character it stays.
 _DOUBLE_ESCAPE = r'\\(["\\])'
+
+
+@functools.cache
+def _argument_pattern() -> re.Pattern:
+    """:data:`_ARGUMENT`, compiled once; the rarer patterns go through the
+    re module's own cache."""
+    return re.compile(_ARGUMENT, re.DOTALL)
+
+
+def _unquoted(piece: re.Match) -> str:
+    """The text of one quoted string or escape of a :data:`_QUOTED_PIECE` match."""
+    single, double, escaped = piece.groups()
+    if double is not None:
+        return re.sub(_DOUBLE_ESCAPE, r"\1", double)
+    return escaped if single is None else single
 
 
 def _split_line(line: str) -> list[str]:
     """The arguments of a batch line, exactly as ``shlex.split(line)`` gives
     them, in time linear in the line: shlex grows each argument by one
-    character at a time, which is quadratic in the argument's length."""
-    piece = re.compile(_PIECE, re.DOTALL | re.VERBOSE)
-    tokens: list[str] = []
-    pieces = None  # the argument being read, if any
-    pos = 0
-    while pos < len(line):
-        match = piece.match(line, pos)
-        if match is None:
-            # An unclosed quote, or a backslash that ends the line, also
-            # inside "...".
-            if line[pos] == '"':
-                pos = re.compile(_OPEN_DOUBLE, re.DOTALL).match(line, pos).end()
-            if line[pos:] == "\\":
-                raise ValueError("No escaped character")
-            raise ValueError("No closing quotation")
-        kind, pos = match.lastgroup, match.end()
-        if kind == "blank":
-            if pieces is not None:
-                tokens.append("".join(pieces))
-                pieces = None
-            continue
-        text = match.group(kind)
-        if pieces is None:
-            pieces = []
-        pieces.append(re.sub(_DOUBLE_ESCAPE, r"\1", text) if kind == "double" else text)
-    if pieces is not None:
-        tokens.append("".join(pieces))
-    return tokens
+    character at a time, which is quadratic in the argument's length.
+
+    One regex pass finds the arguments. One with no '"' and no backslash
+    holds only plain runs and '...' strings, which hold no quote, so
+    dropping its single quotes unquotes it; only the others are read piece
+    by piece."""
+    argument = _argument_pattern()
+    args = argument.findall(line)
+    if "" in args:
+        rest = line[next(match.start() for match in argument.finditer(line) if not match.group()) :]
+        if rest[0] == '"':
+            rest = rest[re.match(_OPEN_DOUBLE, rest, re.DOTALL).end() :]
+        raise ValueError("No escaped character" if rest == "\\" else "No closing quotation")
+    return [
+        re.sub(_QUOTED_PIECE, _unquoted, arg, flags=re.DOTALL)
+        if '"' in arg or "\\" in arg
+        else arg.replace("'", "")
+        for arg in args
+    ]
 
 
 def _cmd_batch(args) -> tuple[str | None, int]:
@@ -335,7 +360,7 @@ def _table(sub: argparse.ArgumentParser) -> tuple:
 # on this module when they run it, so a handler rebound on the module after
 # the parser was built is the one that runs.
 def _build_parser() -> _Parsers:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticegroups",
         description="Exact word-problem, homology and cocycle queries for "
         "lattice-path realizations of free abelian, nilpotent, metabelian "

@@ -53,11 +53,16 @@ class HeisenbergElement(GroupElement):
         position = [0] * word.d
         areas: dict[tuple[int, int], int] = {}
         get = areas.get
+        # For each axis j of the word, the pairs (i - 1, (i, j)) for the
+        # word's own axes i < j, built once per call: a letter does no index
+        # arithmetic, and reads no coordinate the path never moves along.
+        pairs: dict[int, list] = {}
+        for axis in sorted({axis for axis, _ in dict.fromkeys(word.letters)}):
+            pairs[axis] = [(i - 1, (i, axis)) for i in pairs]
         for axis, sign in word.letters:
-            for i in range(1, axis):
-                if position[i - 1]:
-                    key = (i, axis)
-                    areas[key] = get(key, 0) + position[i - 1] * sign
+            for at, key in pairs[axis]:
+                if position[at]:
+                    areas[key] = get(key, 0) + position[at] * sign
             position[axis - 1] += sign
         if 0 in areas.values():
             areas = {key: value for key, value in areas.items() if value}

@@ -298,16 +298,33 @@ def _check_length(expanded: int) -> None:
         raise InputTooLargeError(f"word expands to more than {MAX_LETTERS} letters")
 
 
-def _expand(text: str, axis_of: Callable[[str, str], int]) -> tuple[list[int], dict[Letter, int]]:
+# Each token text read without error, keyed by everything its read depends
+# on: the text, the grammar (the rank d, or the tuple of generator names) and
+# MAX_LETTERS, which caps the exponents _read_int reads. The value is the
+# token's letter count and its Letter. A token that fails its checks is not
+# stored, so every error is found, in order, as if the table were empty. The
+# table is cleared when it holds _TOKEN_CAP entries, and a token longer than
+# _TOKEN_TEXT_MAX characters is never stored, so it holds a bounded amount
+# of memory whatever the input.
+_TOKENS: dict[tuple, tuple[int, Letter]] = {}
+_TOKEN_CAP = 4096
+_TOKEN_TEXT_MAX = 32
+
+
+def _expand(
+    text: str, grammar: object, axis_of: Callable[[str, str], int]
+) -> tuple[list[int], dict[Letter, int]]:
     """Expand word text into its letters, before any reduction.
 
     Tokens are separated by whitespace or ``.``. Each distinct token text is
     checked once, in order of first appearance: exponent syntax, zero
     exponent, then ``axis_of(name, token)``, which returns the axis or
-    raises. The expanded length is checked once, before anything is
-    expanded. The error reported is the first in token order: a token's
-    length error comes before its axis error, and an error at a token comes
-    after the length error of the tokens before it.
+    raises. ``grammar`` is a hashable value that, with MAX_LETTERS, decides
+    what ``axis_of`` returns; a token already read under both is looked up
+    in the process's token table instead. The expanded length is checked
+    once, before anything is expanded. The error reported is the first in
+    token order: a token's length error comes before its axis error, and an
+    error at a token comes after the length error of the tokens before it.
 
     Returns the letters as indices into a table of the distinct letters, the
     form :func:`free_reduce` takes.
@@ -316,17 +333,27 @@ def _expand(text: str, axis_of: Callable[[str, str], int]) -> tuple[list[int], d
     count_of: dict[str, int] = {}
     code_of: dict[str, int] = {}
     table: dict[Letter, int] = {}
+    limit = MAX_LETTERS
+    known = _TOKENS.get
     for token in dict.fromkeys(tokens):
-        try:
-            name, exponent = _split_exponent(token)
-            # Counted before its axis is read: an axis error comes after
-            # this token's own length error.
-            count_of[token] = abs(exponent)
-            letter = _new(Letter, (axis_of(name, token), 1 if exponent > 0 else -1))
-        except ValueError:
-            before = tokens[: tokens.index(token)]
-            _check_length(sum(map(count_of.__getitem__, before)) + count_of.get(token, 0))
-            raise
+        key = (token, grammar, limit)
+        read = known(key)
+        if read is None:
+            try:
+                name, exponent = _split_exponent(token)
+                # Counted before its axis is read: an axis error comes after
+                # this token's own length error.
+                count_of[token] = abs(exponent)
+                read = abs(exponent), _new(Letter, (axis_of(name, token), 1 if exponent > 0 else -1))
+            except ValueError:
+                before = tokens[: tokens.index(token)]
+                _check_length(sum(map(count_of.__getitem__, before)) + count_of.get(token, 0))
+                raise
+            if len(token) <= _TOKEN_TEXT_MAX:
+                if len(_TOKENS) >= _TOKEN_CAP:
+                    _TOKENS.clear()
+                _TOKENS[key] = read
+        count_of[token], letter = read
         code_of[token] = table.setdefault(letter, len(table))
     # Every count is at least 1, so they are all 1 when they sum to their number.
     if sum(count_of.values()) == len(count_of):
@@ -364,7 +391,7 @@ def parse_word(text: str, d: int) -> Word:
         digits = "".join(str(int(digit)) for digit in index)
         raise WordSyntaxError(f"generator index {digits} out of range 1..{d}")
 
-    codes, table = _expand(text, axis_of)
+    codes, table = _expand(text, d, axis_of)
     # Every token has passed its range check, so only empty text gets here with d < 1.
     if d < 1:
         raise ValueError(f"rank must be positive, got {d}")
@@ -382,7 +409,7 @@ def _expand_names(text: str, alphabet: Sequence[str]) -> tuple[list[int], dict[L
             raise WordSyntaxError(f"unknown generator {name!r}; expected one of {tuple(alphabet)}")
         return axis
 
-    return _expand(text, axis_of)
+    return _expand(text, tuple(alphabet), axis_of)
 
 
 def parse_letters(text: str, alphabet: Sequence[str]) -> tuple[Letter, ...]:

@@ -431,7 +431,17 @@ def test_free_group_ignores_rank_bound(capsys):
     assert capsys.readouterr().out == "x1 x7\n"
 
 
-def test_batch_bad_lines_write_only_markers(tmp_path, capsys):
+def test_batch_bad_lines_write_only_markers(tmp_path, monkeypatch, capsys):
+    # A refused line builds no usage text, which nothing would read; main
+    # still writes it for the same argv.
+    usages = []
+    format_usage = argparse.ArgumentParser.format_usage
+
+    def counting(self):
+        usages.append(self.prog)
+        return format_usage(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "format_usage", counting)
     commands = tmp_path / "commands.txt"
     commands.write_text(
         "frobnicate x1\neval --group abelian\neval --group bogus x1\neval -h\n",
@@ -441,6 +451,10 @@ def test_batch_bad_lines_write_only_markers(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "error: bad arguments\n" * 4
     assert captured.err == ""
+    assert usages == []
+    assert main(["eval", "--group", "abelian"]) == 2
+    assert capsys.readouterr().err.startswith("usage: latticegroups eval ")
+    assert usages == ["latticegroups eval"]
 
 
 def test_output_is_deterministic(capsys):
@@ -804,6 +818,23 @@ _LINE_PIECES = st.sampled_from(
 @example('"a\\\nb\\')
 @example("reduce x1\\")
 def test_split_line_matches_shlex(line):
+    assert _split_outcome(cli._split_line, line) == _split_outcome(shlex.split, line)
+
+
+# No '"' and no backslash: the arguments are unquoted by dropping their
+# single quotes, closed, empty or unclosed (odd counts), beside the four
+# blanks shlex splits at and breaks it does not.
+_SINGLE_QUOTED_PIECES = st.sampled_from(
+    (" ", "  ", "\t", "\r", "\n", "'", "''", "'''", "x1", "x1 x2^-1", "-h", "--d", "#", "$",
+     "\f", "\v", "\u2028", "\x85", "\u00e9")
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_SINGLE_QUOTED_PIECES, max_size=12).map("".join))
+@example("eval --d 2 'x1 x2'x1''")
+@example("reduce 'x1 x2' '")
+def test_split_line_without_double_quotes_matches_shlex(line):
     assert _split_outcome(cli._split_line, line) == _split_outcome(shlex.split, line)
 
 

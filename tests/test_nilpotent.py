@@ -133,6 +133,7 @@ class TestAreaCrossCheck:
 
 @given(hypothesis_words())
 @example(Word.identity(3))
+@example(Word([(2, 1), (6, 1), (4, -1), (2, -1), (6, -1), (4, 1), (7, 1)], 7))  # axes 1, 3, 5 unused
 def test_areas_match_line_integrals(word):
     elem = HeisenbergElement.from_word(word)
     assert dict(elem.areas()) == line_integral_areas(word)

@@ -321,9 +321,13 @@ _INDEXED = ("x1", "x2", "x3", "x4", "x5", "x1", "x2", "x", "y1", "x01", "x0", "x
 @example("x1^2 x1^2 x1^2", 2, 5)
 @example("x1^" + "0" * 4400 + "3 x5^" + "9" * 5000, 4, 3)
 def test_parse_word_matches_reference(text, d, limit):
+    # Read twice: with an empty token table, then with the one the first read left.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(words, "MAX_LETTERS", limit)
-        assert _outcome(parse_word, text, d) == _outcome(reference_parse_word, text, d)
+        expected = _outcome(reference_parse_word, text, d)
+        words._TOKENS.clear()
+        assert _outcome(parse_word, text, d) == expected
+        assert _outcome(parse_word, text, d) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -334,9 +338,61 @@ def test_parse_letters_matches_reference(text, limit):
     alphabet = ("x", "y", "z")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(words, "MAX_LETTERS", limit)
-        assert _outcome(parse_letters, text, alphabet) == _outcome(
-            reference_parse_letters, text, alphabet
-        )
+        expected = _outcome(reference_parse_letters, text, alphabet)
+        words._TOKENS.clear()
+        assert _outcome(parse_letters, text, alphabet) == expected
+        assert _outcome(parse_letters, text, alphabet) == expected
+
+
+# --- the token table: keyed on all a read depends on, and bounded --------------
+
+# Texts whose tokens read differently, or not at all, under another rank,
+# alphabet or letter limit: x3 is past rank 2, y is the first name of the
+# second alphabet, and under a limit of 3 an exponent of two digits or more
+# reads as 4, which a later read under a larger limit must not reuse.
+_TABLE_TEXTS = ("x1 x2^-1 x3^2", "x3^-1 x1", "x1^12 x2", "x2^0012 x1^3", "x1^-" + "0" * 40 + "7")
+_TABLE_NAMED = ("x y^-1 z^2", "y^12 x", "x^0012 w", "z^-3 y")
+_TABLE_READS = (
+    [
+        (parse_word, text, d, limit)
+        for limit in (3, 10**6, 30)
+        for d in (2, 3, 2)
+        for text in _TABLE_TEXTS
+    ]
+    + [
+        (parse_letters, text, alphabet, limit)
+        for limit in (3, 10**6, 30)
+        for alphabet in (("x", "y", "z"), ("y", "x", "z"), ["x", "y", "z"])
+        for text in _TABLE_NAMED
+    ]
+)
+
+
+def test_token_table_read_matches_cold_read():
+    def read(parse, text, grammar, limit):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(words, "MAX_LETTERS", limit)
+            return _outcome(parse, text, grammar)
+
+    cold = []
+    for parse, text, grammar, limit in _TABLE_READS:
+        words._TOKENS.clear()
+        cold.append(read(parse, text, grammar, limit))
+    words._TOKENS.clear()
+    warm = [read(*args) for args in _TABLE_READS]
+    assert warm == cold
+
+
+def test_token_table_is_bounded():
+    words._TOKENS.clear()
+    for n in range(1, words._TOKEN_CAP + 100):
+        assert len(parse_word(f"x1^{n} x2", 2)) == n + 1
+        assert 0 < len(words._TOKENS) <= words._TOKEN_CAP
+    # A token longer than the stored length is read, but never stored.
+    long = "x1^" + "0" * 10**4 + "3"
+    assert len(parse_word(f"{long} x2", 2)) == 4
+    assert len(parse_letters("x^" + "0" * 10**4 + "3", ("x",))) == 3
+    assert all(len(key[0]) <= words._TOKEN_TEXT_MAX for key in words._TOKENS)
 
 
 # --- free_reduce against the stack loop as first written ----------------------
