@@ -13,12 +13,13 @@ from operator import index
 from typing import Iterable, Mapping
 
 from .homology import algebraic_area
-from .lattice import EdgeFlow, Vector, _accumulate, vec_add
+from .lattice import EdgeFlow, Vector, _accumulate, _vector, vec_add
 from .words import Letter, RankMismatchError, Word
 
 
 def monomial_word(vec: Vector) -> Word:
     """The straight word x1^{v1} x2^{v2} ... xd^{vd} reaching ``vec``."""
+    vec = _vector(vec)
     letters: list[Letter] = []
     for axis, coord in enumerate(vec, start=1):
         sign = 1 if coord > 0 else -1
@@ -34,12 +35,13 @@ def monomial_flow(vec: Vector) -> EdgeFlow:
     with multiplicity sign(vi). The path never revisits an edge, so every
     multiplicity is +-1.
     """
+    vec = _vector(vec)
     d = len(vec)
     if d < 1:
         raise ValueError(f"rank must be positive, got {d}")
     entries: dict[tuple[int, ...], int] = {}
     for index, coord in enumerate(vec):
-        prefix = tuple(vec[:index])
+        prefix = vec[:index]
         suffix = (0,) * (d - index - 1) + (index + 1,)
         sign = 1 if coord > 0 else -1
         for t in range(min(coord, 0), max(coord, 0)):
@@ -63,7 +65,7 @@ def canonical_cocycle(g1: Vector, g2: Vector) -> EdgeFlow:
     g1_t for i < t < j, and 0 for t > j. Each rectangle's boundary is
     emitted as four runs of unit edges.
     """
-    g1, g2 = tuple(map(index, g1)), tuple(map(index, g2))
+    g1, g2 = _vector(g1), _vector(g2)
     if len(g1) != len(g2):
         raise RankMismatchError(f"vector ranks differ: {len(g1)} vs {len(g2)}")
     d = len(g1)
@@ -116,10 +118,9 @@ def _run(entries: dict, corner: list[int], index: int, lo: int, hi: int, sign: i
 
 def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> EdgeFlow:
     """u(g1) + (u(g2) shifted by g1) - u(g1+g2), for finitely supported cycle-valued u."""
-    g1, g2 = tuple(map(index, g1)), tuple(map(index, g2))
-    if len(g1) != len(g2):
-        raise RankMismatchError(f"vector ranks differ: {len(g1)} vs {len(g2)}")
+    g1 = _vector(g1)
     d = len(g1)
+    g2 = _vector(g2, d)
 
     def lookup(vec: Vector) -> EdgeFlow:
         flow = shifts.get(vec)
@@ -149,9 +150,7 @@ class Cocycle:
         summed: dict[Vector, EdgeFlow] = {}
         origin = (0,) * d
         for vec, flow in shifts.items() if isinstance(shifts, Mapping) else shifts:
-            vec = tuple(map(index, vec))
-            if len(vec) != d:
-                raise RankMismatchError(f"shift vector {vec} does not have rank {d}")
+            vec = _vector(vec, d, "shift vector")
             if flow.d != d:
                 raise RankMismatchError(f"shift value at {vec} does not have rank {d}")
             if not flow.is_cycle():
@@ -164,7 +163,7 @@ class Cocycle:
         self.shifts = {vec: flow for vec, flow in summed.items() if flow}
 
     def value(self, g1: Vector, g2: Vector) -> EdgeFlow:
-        g1, g2 = tuple(map(index, g1)), tuple(map(index, g2))
+        g1, g2 = _vector(g1), _vector(g2)
         if not len(g1) == len(g2) == self.d:
             raise RankMismatchError(f"vector ranks {len(g1)}, {len(g2)} do not match cocycle rank {self.d}")
         flow = canonical_cocycle(g1, g2) * self.k
@@ -191,11 +190,12 @@ def PerturbedCocycle(base: Cocycle, shifts: Mapping[Vector, EdgeFlow]) -> Cocycl
 
 def check_cocycle_identity(table: Cocycle, g1: Vector, g2: Vector, g3: Vector) -> bool:
     """Whether the alternating four-term sum of table values vanishes at (g1, g2, g3)."""
+    g1, g2, g3 = (_vector(g, table.d) for g in (g1, g2, g3))
     total = (
         table(g1, g2)
         + table(vec_add(g1, g2), g3)
         - table(g1, vec_add(g2, g3))
-        - table(g2, g3).translate(tuple(g1))
+        - table(g2, g3).translate(g1)
     )
     return not total
 

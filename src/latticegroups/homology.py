@@ -20,6 +20,7 @@ from .lattice import (
     _accumulate,
     _json_ints_template,
     _vec_text,
+    _vector,
     basis_vector,
     vec_add,
 )
@@ -42,7 +43,7 @@ class Plaquette(_PlaquetteFields):
     __slots__ = ()
 
     def __new__(cls, base: Vector, i: int, j: int):
-        base, i, j = tuple(map(index, base)), index(i), index(j)
+        base, i, j = _vector(base), index(i), index(j)
         if not 1 <= i < j <= len(base):
             raise ValueError(f"bad plaquette axes ({i}, {j}) for rank {len(base)}")
         return tuple.__new__(cls, (base, i, j))
@@ -280,7 +281,7 @@ def cube_relation(base: Vector, i: int, j: int, k: int) -> PlaquetteSum:
     Signs are fixed by the requirement that the boundary flows of the six
     faces cancel edge by edge under this package's plaquette orientation.
     """
-    base, i, j, k = tuple(map(index, base)), index(i), index(j), index(k)
+    base, i, j, k = _vector(base), index(i), index(j), index(k)
     d = len(base)
     if d < 3:
         raise ValueError(f"cube relation needs rank >= 3, got {d}")

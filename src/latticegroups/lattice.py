@@ -18,6 +18,15 @@ from .words import Letter, RankMismatchError, Word, _checked_letters, _new
 Vector = tuple[int, ...]
 
 
+def _vector(v, d: int | None = None, what: str = "vector") -> Vector:
+    """``v`` read once as a tuple, each coordinate through ``operator.index``
+    (see :class:`Chain`); with ``d`` given, a vector of another rank is refused."""
+    vec = tuple(map(index, v))
+    if d is not None and len(vec) != d:
+        raise RankMismatchError(f"{what} {vec} does not have rank {d}")
+    return vec
+
+
 def vec_add(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise RankMismatchError(f"vector ranks differ: {len(u)} vs {len(v)}")
@@ -111,12 +120,10 @@ class Chain:
         return [row % (*key, entries[key]) for key in sorted(entries)]
 
     def translate(self, v: Vector):
-        """The chain moved by the vector ``v``, read through ``operator.index``."""
+        """The chain moved by the vector ``v``."""
         # A key is its cell's base followed by at most two axes, and map stops
         # at the key's end: the zeros shift the axes by 0.
-        shift = (*map(index, v), 0, 0)
-        if len(shift) != self.d + 2:
-            raise RankMismatchError(f"vector {v} does not have rank {self.d}")
+        shift = (*_vector(v, self.d), 0, 0)
         return self._of(
             self.d, {tuple(map(add, key, shift)): coeff for key, coeff in self._entries.items()}
         )
@@ -181,10 +188,7 @@ class VertexChain(Chain):
 
     @staticmethod
     def _key(vertex, d: int) -> Vector:
-        vertex = tuple(map(index, vertex))
-        if len(vertex) != d:
-            raise RankMismatchError(f"vertex {vertex} does not have rank {d}")
-        return vertex
+        return _vector(vertex, d, "vertex")
 
     def value(self, vertex: Vector) -> int:
         return self._entries.get(self._key(vertex, self.d), 0)
@@ -245,9 +249,7 @@ class EdgeFlow(Chain):
     @staticmethod
     def _key(key, d: int) -> tuple[int, ...]:
         base, axis = key
-        base, axis = tuple(map(index, base)), index(axis)
-        if len(base) != d:
-            raise RankMismatchError(f"edge base {base} does not have rank {d}")
+        base, axis = _vector(base, d, "edge base"), index(axis)
         if not 1 <= axis <= d:
             raise ValueError(f"edge axis {axis} out of range 1..{d}")
         return (*base, axis)
@@ -307,7 +309,7 @@ class PathEvaluation(_PathFields):
     __slots__ = ()
 
     def __new__(cls, endpoint: Vector, flow: EdgeFlow):
-        return tuple.__new__(cls, (tuple(map(index, endpoint)), flow))
+        return tuple.__new__(cls, (_vector(endpoint, flow.d, "endpoint"), flow))
 
     def as_json(self) -> str:
         return '{"endpoint":' + _json_ints(self.endpoint) + ',"flow":' + self.flow.as_json() + "}"

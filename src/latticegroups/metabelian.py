@@ -23,6 +23,7 @@ from .lattice import (
     _json_ints,
     _json_ints_template,
     _vec_text,
+    _vector,
     evaluate_path,
     vec_add,
     vec_neg,
@@ -40,11 +41,7 @@ class MetabelianElement(GroupElement):
     __slots__ = ("endpoint", "flow")
 
     def __init__(self, endpoint: Vector, flow: EdgeFlow):
-        endpoint = tuple(map(index, endpoint))
-        if len(endpoint) != flow.d:
-            raise RankMismatchError(
-                f"endpoint rank {len(endpoint)} does not match flow rank {flow.d}"
-            )
+        endpoint = _vector(endpoint, flow.d, "endpoint")
         origin = (0,) * len(endpoint)
         if flow.boundary()._entries != ({endpoint: 1, origin: -1} if endpoint != origin else {}):
             raise ValueError("flow boundary does not match the endpoint")
@@ -67,7 +64,8 @@ class MetabelianElement(GroupElement):
     @classmethod
     def section(cls, vec: Vector) -> "MetabelianElement":
         """Canonical lift of an abelian vector along its monomial word."""
-        return cls._of(tuple(vec), monomial_flow(vec))
+        vec = _vector(vec)
+        return cls._of(vec, monomial_flow(vec))
 
     def __mul__(self, other: "MetabelianElement") -> "MetabelianElement":
         if not isinstance(other, MetabelianElement):
@@ -135,11 +133,15 @@ class FoxImage(_FoxFields):
     __slots__ = ()
 
     def __new__(cls, monomial: Vector, derivatives):
+        monomial = _vector(monomial)
+        d = len(monomial)
         derivatives = tuple(
-            {tuple(map(index, point)): index(coeff) for point, coeff in component.items()}
+            {_vector(point, d, "point"): index(coeff) for point, coeff in component.items()}
             for component in derivatives
         )
-        return tuple.__new__(cls, (tuple(map(index, monomial)), derivatives))
+        if len(derivatives) != d:
+            raise RankMismatchError(f"{len(derivatives)} derivatives for monomial rank {d}")
+        return tuple.__new__(cls, (monomial, derivatives))
 
     def as_json(self) -> str:
         """The canonical JSON text: ``{"derivatives":[[{"coeff":c,"point":[...]},

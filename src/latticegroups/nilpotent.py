@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import index
 from typing import Mapping
 
-from .lattice import Vector, _accumulate, _json_ints, _vec_text, vec_add, vec_neg
+from .lattice import Vector, _accumulate, _json_ints, _vec_text, _vector, vec_add, vec_neg
 from .words import GroupElement, RankMismatchError, Word
 
 
@@ -25,7 +25,7 @@ class HeisenbergElement(GroupElement):
     __slots__ = ("endpoint", "_areas")
 
     def __init__(self, endpoint: Vector, areas=()):
-        endpoint = tuple(map(index, endpoint))
+        endpoint = _vector(endpoint)
         d = len(endpoint)
         entries: dict[tuple[int, int], int] = {}
         pairs = areas.items() if isinstance(areas, Mapping) else areas

@@ -20,7 +20,7 @@ from .homology import (
     algebraic_area,
     plaquette_boundary,
 )
-from .lattice import EdgeFlow, Vector, _accumulate, _json_ints, _vec_text, vec_add, vec_neg
+from .lattice import EdgeFlow, Vector, _accumulate, _json_ints, _vec_text, _vector, vec_add, vec_neg
 from .words import (
     GroupElement,
     Letter,
@@ -47,8 +47,8 @@ class SatelliteElement(GroupElement):
     __slots__ = ("k", "vec", "cycle")
 
     def __init__(self, k: int, vec: Vector, cycle: EdgeFlow):
-        vec = tuple(map(index, vec))
-        if len(vec) != 2 or cycle.d != 2:
+        vec = _vector(vec, 2, "satellite vector")
+        if cycle.d != 2:
             raise ValueError("satellite elements live over rank 2")
         if not cycle.is_cycle():
             raise NotACycleError("satellite cycle part has nonzero boundary")

@@ -3,6 +3,7 @@ each CLI answer's str() text against the benchmark's reference formatting,
 and the integer reading of the public constructors whose values they print."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 from types import MappingProxyType
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from latticegroups import (
+    Cocycle,
     EdgeFlow,
     FoxImage,
     HeisenbergElement,
@@ -18,12 +20,19 @@ from latticegroups import (
     PathEvaluation,
     Plaquette,
     PlaquetteSum,
+    RankMismatchError,
     VertexChain,
     Word,
+    canonical_cocycle,
+    check_cocycle_identity,
+    coboundary,
     commutator,
     cube_relation,
     evaluate_letters,
     fox_image,
+    monomial_flow,
+    monomial_word,
+    plaquette_boundary,
     plaquette_sum_from_json,
 )
 from latticegroups.cli import _Endpoint
@@ -210,44 +219,91 @@ def test_rank_one_vectors_have_no_trailing_comma():
     assert str(fox_image(Word([Letter(1, -1)], 1))) == "monomial=(-1) d1=[(-1):-1]"
 
 
+def _as_given(vec):
+    return vec
+
+
 # constructor slot -> the value built with n in that slot; n = 1 is valid in each.
+# A slot that reads a lattice vector also takes ``vec``, applied to that vector:
+# the "iter" column passes ``iter``, the "rank" column repeats its last coordinate.
+UNIT = plaquette_boundary(Plaquette((0, 0), 1, 2))
 INTEGER_SLOTS = {
-    "EdgeFlow-base": lambda n: EdgeFlow(2, [(((n, 0), 1), 1)]),
+    "EdgeFlow-base": lambda n, vec=_as_given: EdgeFlow(2, [((vec((n, 0)), 1), 1)]),
     "EdgeFlow-axis": lambda n: EdgeFlow(2, [(((0, 0), n), 1)]),
     "EdgeFlow-mult": lambda n: EdgeFlow(2, {((0, 0), 1): n}),
-    "VertexChain-vertex": lambda n: VertexChain(2, [((0, n), 1)]),
+    "VertexChain-vertex": lambda n, vec=_as_given: VertexChain(2, [(vec((0, n)), 1)]),
     "VertexChain-mult": lambda n: VertexChain(2, [((0, 0), n)]),
-    "PlaquetteSum-base": lambda n: PlaquetteSum(2, [(((0, n), 1, 2), 1)]),
+    "PlaquetteSum-base": lambda n, vec=_as_given: PlaquetteSum(2, [((vec((0, n)), 1, 2), 1)]),
     "PlaquetteSum-i": lambda n: PlaquetteSum(2, [(((0, 0), n, 2), 1)]),
     "PlaquetteSum-mult": lambda n: PlaquetteSum(2, [(((0, 0), 1, 2), n)]),
-    "from_json-base": lambda n: plaquette_sum_from_json([{"base": [n, 0], "i": 1, "j": 2, "mult": 2}], d=2),
+    "from_json-base": lambda n, vec=_as_given: plaquette_sum_from_json(
+        [{"base": vec([n, 0]), "i": 1, "j": 2, "mult": 2}], d=2
+    ),
     "from_json-i": lambda n: plaquette_sum_from_json([{"base": [0, 0], "i": n, "j": 2, "mult": 2}], d=2),
     "from_json-mult": lambda n: plaquette_sum_from_json([{"base": [0, 0], "i": 1, "j": 2, "mult": n}], d=2),
-    "Metabelian-endpoint": lambda n: MetabelianElement((n, 0), EdgeFlow(2, [(((0, 0), 1), 1)])),
-    "Heisenberg-endpoint": lambda n: HeisenbergElement((n, 2)),
+    "Metabelian-endpoint": lambda n, vec=_as_given: MetabelianElement(
+        vec((n, 0)), EdgeFlow(2, [(((0, 0), 1), 1)])
+    ),
+    "Heisenberg-endpoint": lambda n, vec=_as_given: HeisenbergElement(vec((n, 2))),
     "Heisenberg-i": lambda n: HeisenbergElement((0, 0), {(n, 2): 3}),
     "Heisenberg-area": lambda n: HeisenbergElement((0, 0), {(1, 2): n}),
     "Heisenberg-mapping": lambda n: HeisenbergElement((0, 0), MappingProxyType({(1, 2): n})),
-    "Satellite-vec": lambda n: SatelliteElement(1, (n, 0), EdgeFlow(2)),
+    "Satellite-vec": lambda n, vec=_as_given: SatelliteElement(1, vec((n, 0)), EdgeFlow(2)),
     "Satellite-k": lambda n: SatelliteElement(n, (0, 0), EdgeFlow(2)),
-    "PathEvaluation-endpoint": lambda n: PathEvaluation((n, 0), EdgeFlow(2)),
-    "FoxImage-monomial": lambda n: FoxImage((n, 0), ({}, {})),
-    "FoxImage-point": lambda n: FoxImage((0, 0), ({(0, n): 2}, {})),
+    "PathEvaluation-endpoint": lambda n, vec=_as_given: PathEvaluation(vec((n, 0)), EdgeFlow(2)),
+    "FoxImage-monomial": lambda n, vec=_as_given: FoxImage(vec((n, 0)), ({}, {})),
+    "FoxImage-point": lambda n, vec=_as_given: FoxImage((0, 0), ({vec((0, n)): 2}, {})),
     "FoxImage-coeff": lambda n: FoxImage((0, 0), ({}, {(0, 0): n})),
-    "Plaquette-base": lambda n: Plaquette((0, n), 1, 2),
+    # One derivative per axis: "rank" adds a third.
+    "FoxImage-derivatives": lambda n, vec=_as_given: FoxImage((0, 0), vec(({}, {(n, 0): 3}))),
+    "Plaquette-base": lambda n, vec=_as_given: Plaquette(vec((0, n)), 1, 2),
     "Plaquette-i": lambda n: Plaquette((0, 0), n, 2),
-    "cube_relation-base": lambda n: cube_relation((0, n, 0), 1, 2, 3),
+    "cube_relation-base": lambda n, vec=_as_given: cube_relation(vec((0, n, 0)), 1, 2, 3),
     "cube_relation-i": lambda n: cube_relation((0, 0, 0), n, 2, 3),
+    "section": lambda n, vec=_as_given: MetabelianElement.section(vec((n, 2))),
+    "monomial_flow": lambda n, vec=_as_given: monomial_flow(vec((n, -2))),
+    "monomial_word": lambda n, vec=_as_given: monomial_word(vec((n, 2))),
+    "canonical_cocycle": lambda n, vec=_as_given: canonical_cocycle(vec((n, 2)), (0, 1)),
+    "coboundary": lambda n, vec=_as_given: coboundary({(1, 0): UNIT}, vec((n, 0)), (0, 1)),
+    "Cocycle-shift": lambda n, vec=_as_given: Cocycle(2, 1, [(vec((n, 0)), UNIT)]).shifts,
+    "Cocycle.value": lambda n, vec=_as_given: Cocycle(2, 1, {(1, 0): UNIT}).value(vec((n, 2)), (0, 1)),
+    "check_cocycle_identity": lambda n, vec=_as_given: check_cocycle_identity(
+        Cocycle(2, 1, {(1, 0): UNIT}), vec((n, 0)), (0, 1), (1, 1)
+    ),
+    "translate": lambda n, vec=_as_given: EdgeFlow(2, [(((0, 0), 1), 1)]).translate(vec((n, -1))),
 }
+# Vector slots whose rank is the vector's own: no other argument fixes it.
+OWN_RANK = {
+    "Heisenberg-endpoint", "Plaquette-base", "cube_relation-base", "section", "monomial_flow", "monomial_word"
+}
+NOT_INTEGERS = {"half": 0.5, "float": 1.0, "str": "1"}
 
 
-@pytest.mark.parametrize("value", [0.5, 1.0, "1", True], ids=["half", "float", "str", "bool"])
-@pytest.mark.parametrize("build", list(INTEGER_SLOTS.values()), ids=list(INTEGER_SLOTS))
-def test_constructors_read_integers(build, value):
+def _columns():
+    for slot, build in INTEGER_SLOTS.items():
+        columns = [*NOT_INTEGERS, "bool"]
+        if "vec" in inspect.signature(build).parameters:
+            columns += ["iter"] if slot in OWN_RANK else ["iter", "rank"]
+        for column in columns:
+            yield pytest.param(build, column, id=f"{slot}-{column}")
+
+
+def _shown(value):
+    return repr(value), str(value)
+
+
+@pytest.mark.parametrize("build, column", _columns())
+def test_constructors_read_integers(build, column):
     # The %d writers would print 0.5 as 0 and 2.7 as 2: a non-integer is
-    # refused, and a bool is read as the int it stands for.
-    if value is True:
-        assert repr(build(value)) == repr(build(1))
+    # refused, and a bool is read as the int it stands for. A vector is read
+    # once, so an iterator gives the tuple's value, and its rank is checked.
+    if column == "bool":
+        assert _shown(build(True)) == _shown(build(1))
+    elif column == "iter":
+        assert _shown(build(1, vec=iter)) == _shown(build(1))
+    elif column == "rank":
+        with pytest.raises(RankMismatchError):
+            build(1, vec=lambda vec: (*vec, vec[-1]))
     else:
         with pytest.raises(TypeError):
-            build(value)
+            build(NOT_INTEGERS[column])

@@ -184,7 +184,7 @@ class TestFlowAlgebra:
             EdgeFlow(2) - EdgeFlow(3)
         with pytest.raises(RankMismatchError):
             EdgeFlow(2).translate((1, 2, 3))
-        with pytest.raises(RankMismatchError, match=r"vector \[1\] does not have rank 2"):
+        with pytest.raises(RankMismatchError, match=r"vector \(1,\) does not have rank 2"):
             VertexChain(2).translate([1])
 
     def test_concatenation_identity_example(self):
