@@ -18,6 +18,7 @@ from .words import (
     commutator,
     free_reduce,
     parse_letters,
+    parse_named_word,
     parse_word,
 )
 from .lattice import (
@@ -80,6 +81,7 @@ __all__ = [
     "commutator",
     "free_reduce",
     "parse_letters",
+    "parse_named_word",
     "parse_word",
     "Edge",
     "EdgeFlow",

@@ -24,10 +24,9 @@ from .nilpotent import HeisenbergElement
 from .words import (
     InputTooLargeError,
     RankMismatchError,
-    Word,
     WordSyntaxError,
     equal_images,
-    free_reduce,
+    parse_named_word,
     parse_word,
 )
 from . import satellite, words
@@ -95,7 +94,7 @@ REGISTRY = {
     "heisenberg": (_parse_folded, lambda word, args: HeisenbergElement.from_word(word)),
     "metabelian": (_parse_folded, lambda word, args: MetabelianElement.from_word(word)),
     "satellite": (
-        lambda text, args: Word._of(free_reduce(*words._expand_names(text, satellite.GENERATOR_NAMES)), 3),
+        lambda text, args: parse_named_word(text, satellite.GENERATOR_NAMES),
         lambda word, args: satellite.from_word(word.letters, args.k),
     ),
 }
@@ -204,14 +203,19 @@ _DISCARD = _Discard()
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that refuses argv without building its usage text
-    while its error text is dropped, as a batch line's is: argparse would
-    format the whole usage first, which costs more than the parse."""
+    """An ArgumentParser that builds no usage or help text while that text
+    would be dropped, as a batch line's is: argparse would format the whole
+    usage before a refusal, and the whole help for -h, which costs more
+    than the parse."""
 
     def error(self, message):
         if sys.stderr is _DISCARD:
             self.exit(2)
         super().error(message)
+
+    def print_help(self, file=None):
+        if (sys.stdout if file is None else file) is not _DISCARD:
+            super().print_help(file)
 
 
 def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:

@@ -35,7 +35,11 @@ def monomial_flow(vec: Vector) -> EdgeFlow:
     with multiplicity sign(vi). The path never revisits an edge, so every
     multiplicity is +-1.
     """
-    vec = _vector(vec)
+    return _monomial_flow(_vector(vec))
+
+
+def _monomial_flow(vec: Vector) -> EdgeFlow:
+    """:func:`monomial_flow` of a vector already read."""
     d = len(vec)
     if d < 1:
         raise ValueError(f"rank must be positive, got {d}")
@@ -68,6 +72,11 @@ def canonical_cocycle(g1: Vector, g2: Vector) -> EdgeFlow:
     g1, g2 = _vector(g1), _vector(g2)
     if len(g1) != len(g2):
         raise RankMismatchError(f"vector ranks differ: {len(g1)} vs {len(g2)}")
+    return _canonical_cocycle(g1, g2)
+
+
+def _canonical_cocycle(g1: Vector, g2: Vector) -> EdgeFlow:
+    """:func:`canonical_cocycle` of two vectors already read at one rank."""
     d = len(g1)
     if d < 1:
         raise ValueError(f"rank must be positive, got {d}")
@@ -119,8 +128,12 @@ def _run(entries: dict, corner: list[int], index: int, lo: int, hi: int, sign: i
 def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> EdgeFlow:
     """u(g1) + (u(g2) shifted by g1) - u(g1+g2), for finitely supported cycle-valued u."""
     g1 = _vector(g1)
+    return _coboundary(shifts, g1, _vector(g2, len(g1)))
+
+
+def _coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> EdgeFlow:
+    """:func:`coboundary` at two vectors already read at one rank."""
     d = len(g1)
-    g2 = _vector(g2, d)
 
     def lookup(vec: Vector) -> EdgeFlow:
         flow = shifts.get(vec)
@@ -130,7 +143,7 @@ def coboundary(shifts: Mapping[Vector, EdgeFlow], g1: Vector, g2: Vector) -> Edg
             raise ValueError(f"coboundary value at {vec} is not a cycle")
         return flow
 
-    return lookup(g1) + lookup(g2).translate(g1) - lookup(vec_add(g1, g2))
+    return lookup(g1) + lookup(g2)._translated(g1) - lookup(vec_add(g1, g2))
 
 
 class Cocycle:
@@ -166,9 +179,13 @@ class Cocycle:
         g1, g2 = _vector(g1), _vector(g2)
         if not len(g1) == len(g2) == self.d:
             raise RankMismatchError(f"vector ranks {len(g1)}, {len(g2)} do not match cocycle rank {self.d}")
-        flow = canonical_cocycle(g1, g2) * self.k
+        return self._value(g1, g2)
+
+    def _value(self, g1: Vector, g2: Vector) -> EdgeFlow:
+        """:meth:`value` at two vectors already read at the cocycle's rank."""
+        flow = _canonical_cocycle(g1, g2) * self.k
         if self.shifts:
-            flow = flow + coboundary(self.shifts, g1, g2)
+            flow = flow + _coboundary(self.shifts, g1, g2)
         return flow
 
     def __call__(self, g1: Vector, g2: Vector) -> EdgeFlow:
@@ -191,11 +208,13 @@ def PerturbedCocycle(base: Cocycle, shifts: Mapping[Vector, EdgeFlow]) -> Cocycl
 def check_cocycle_identity(table: Cocycle, g1: Vector, g2: Vector, g3: Vector) -> bool:
     """Whether the alternating four-term sum of table values vanishes at (g1, g2, g3)."""
     g1, g2, g3 = (_vector(g, table.d) for g in (g1, g2, g3))
+    # A subclass's own value is called as it is; Cocycle's reads no vector again.
+    value = table._value if type(table).value is Cocycle.value else table.value
     total = (
-        table(g1, g2)
-        + table(vec_add(g1, g2), g3)
-        - table(g1, vec_add(g2, g3))
-        - table(g2, g3).translate(g1)
+        value(g1, g2)
+        + value(vec_add(g1, g2), g3)
+        - value(g1, vec_add(g2, g3))
+        - value(g2, g3)._translated(g1)
     )
     return not total
 

@@ -121,9 +121,13 @@ class Chain:
 
     def translate(self, v: Vector):
         """The chain moved by the vector ``v``."""
+        return self._translated(_vector(v, self.d))
+
+    def _translated(self, vec: Vector):
+        """:meth:`translate` by a vector already read at the chain's rank."""
         # A key is its cell's base followed by at most two axes, and map stops
         # at the key's end: the zeros shift the axes by 0.
-        shift = (*_vector(v, self.d), 0, 0)
+        shift = (*vec, 0, 0)
         return self._of(
             self.d, {tuple(map(add, key, shift)): coeff for key, coeff in self._entries.items()}
         )
@@ -241,8 +245,10 @@ class EdgeFlow(Chain):
 
     __rmul__ = __mul__
 
-    def translate(self, v: Vector):
-        flow = Chain.translate(self, v)
+    translate = Chain.translate  # which calls the _translated below
+
+    def _translated(self, vec: Vector):
+        flow = Chain._translated(self, vec)
         flow._closed = self._closed
         return flow
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import index
 from typing import NamedTuple
 
-from .cocycles import monomial_flow, monomial_word
+from .cocycles import _monomial_flow, monomial_word
 from .homology import Plaquette
 from .lattice import (
     EdgeFlow,
@@ -65,7 +65,7 @@ class MetabelianElement(GroupElement):
     def section(cls, vec: Vector) -> "MetabelianElement":
         """Canonical lift of an abelian vector along its monomial word."""
         vec = _vector(vec)
-        return cls._of(vec, monomial_flow(vec))
+        return cls._of(vec, _monomial_flow(vec))
 
     def __mul__(self, other: "MetabelianElement") -> "MetabelianElement":
         if not isinstance(other, MetabelianElement):

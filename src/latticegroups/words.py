@@ -367,6 +367,40 @@ def _expand(
     return codes, table
 
 
+# Each word text read without error, keyed like _TOKENS: the text, the
+# grammar and MAX_LETTERS. The value is the word's reduced letters. A read
+# that fails is not stored, so every error is found, in order, as if the
+# table were empty. The table is cleared when it holds _WORD_CAP entries,
+# and a read is stored only when its text and reduced letters together are
+# shorter than _WORD_SIZE_MAX. An entry holds at most 4 bytes per text
+# character and one 8-byte pointer per letter, so the table holds at most
+# _WORD_CAP MiB whatever the input; the Letters themselves are the few
+# distinct ones of each word.
+_WORDS: dict[tuple, tuple[Letter, ...]] = {}
+_WORD_CAP = 8
+_WORD_SIZE_MAX = 2**17
+
+
+def _read_word(text: str, grammar: object, d: int, axis_of: Callable[[str, str], int]) -> Word:
+    """The reduced Word of rank ``d`` of word text read under ``grammar``
+    (see :func:`_expand`), looked up in the process's word table before it
+    is expanded and reduced."""
+    key = (text, grammar, MAX_LETTERS)
+    letters = _WORDS.get(key)
+    if letters is None:
+        codes, table = _expand(text, grammar, axis_of)
+        # Every token has passed its axis check, so only text with no token
+        # gets here with d < 1.
+        if d < 1:
+            raise ValueError(f"rank must be positive, got {d}")
+        letters = free_reduce(codes, table)
+        if len(text) + len(letters) < _WORD_SIZE_MAX:
+            if len(_WORDS) >= _WORD_CAP:
+                _WORDS.clear()
+            _WORDS[key] = letters
+    return Word._of(letters, d)
+
+
 _GENERATOR_RE = re.compile(r"x([1-9]\d*)")
 
 
@@ -375,7 +409,9 @@ def parse_word(text: str, d: int) -> Word:
 
     Grammar: tokens separated by whitespace or ``.``, each ``x<idx>`` with an
     optional ``^<nonzero integer>`` exponent that is expanded eagerly. A word
-    that would expand to more than MAX_LETTERS letters is refused.
+    that would expand to more than MAX_LETTERS letters is refused. A text
+    read before under the same ``d`` and MAX_LETTERS may be answered from
+    the process's word table, which holds only reads that passed.
     """
 
     def axis_of(name: str, token: str) -> int:
@@ -391,25 +427,23 @@ def parse_word(text: str, d: int) -> Word:
         digits = "".join(str(int(digit)) for digit in index)
         raise WordSyntaxError(f"generator index {digits} out of range 1..{d}")
 
-    codes, table = _expand(text, d, axis_of)
-    # Every token has passed its range check, so only empty text gets here with d < 1.
-    if d < 1:
-        raise ValueError(f"rank must be positive, got {d}")
-    return Word._of(free_reduce(codes, table), d)
+    return _read_word(text, d, d, axis_of)
 
 
-def _expand_names(text: str, alphabet: Sequence[str]) -> tuple[list[int], dict[Letter, int]]:
-    """:func:`_expand` of a word over literal generator names: the axis of
-    each letter is the 1-based position of its name in ``alphabet``."""
-    positions = {name: index + 1 for index, name in enumerate(alphabet)}
+def _names(alphabet: Sequence[str]) -> tuple[tuple[str, ...], Callable[[str, str], int]]:
+    """The grammar and the ``axis_of`` of :func:`_expand` for words over
+    literal generator names: the axis of each letter is the 1-based position
+    of its name in ``alphabet``."""
+    grammar = tuple(alphabet)
+    positions = {name: index + 1 for index, name in enumerate(grammar)}
 
     def axis_of(name: str, token: str) -> int:
         axis = positions.get(name)
         if axis is None:
-            raise WordSyntaxError(f"unknown generator {name!r}; expected one of {tuple(alphabet)}")
+            raise WordSyntaxError(f"unknown generator {name!r}; expected one of {grammar}")
         return axis
 
-    return _expand(text, tuple(alphabet), axis_of)
+    return grammar, axis_of
 
 
 def parse_letters(text: str, alphabet: Sequence[str]) -> tuple[Letter, ...]:
@@ -418,5 +452,12 @@ def parse_letters(text: str, alphabet: Sequence[str]) -> tuple[Letter, ...]:
     The axis of each letter is the 1-based position of its name in
     ``alphabet``. Exponent syntax matches :func:`parse_word`.
     """
-    codes, table = _expand_names(text, alphabet)
+    codes, table = _expand(text, *_names(alphabet))
     return tuple(list(map(list(table).__getitem__, codes)))
+
+
+def parse_named_word(text: str, alphabet: Sequence[str]) -> Word:
+    """The reduced Word, of rank ``len(alphabet)``, of the letters
+    :func:`parse_letters` reads."""
+    grammar, axis_of = _names(alphabet)
+    return _read_word(text, grammar, len(grammar), axis_of)

@@ -457,6 +457,75 @@ def test_batch_bad_lines_write_only_markers(tmp_path, monkeypatch, capsys):
     assert usages == ["latticegroups eval"]
 
 
+def test_batch_help_lines_format_no_help(tmp_path, monkeypatch, capsys):
+    # A batch line's help text would be dropped, so none is built; main
+    # still prints the verb's whole help.
+    helps = []
+    format_help = argparse.ArgumentParser.format_help
+
+    def counting(self):
+        helps.append(self.prog)
+        return format_help(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "format_help", counting)
+    commands = tmp_path / "commands.txt"
+    commands.write_text("eval -h\nfox --help\n", encoding="utf-8")
+    assert main(["batch", str(commands)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "error: bad arguments\n" * 2
+    assert captured.err == ""
+    assert helps == []
+    assert main(["eval", "-h"]) == 0
+    assert capsys.readouterr().out == format_help(cli._parser()[1]["eval"][0])
+    assert helps == ["latticegroups eval"]
+
+
+@pytest.fixture
+def empty_word_tables():
+    words._TOKENS.clear()
+    words._WORDS.clear()
+
+
+def test_batch_reads_each_word_text_once(tmp_path, monkeypatch, capsys, empty_word_tables):
+    # One word under every verb that reads it, and a satellite word twice:
+    # each text is expanded once, and every line answers as it does alone.
+    expanded = []
+    expand = words._expand
+
+    def counting(text, *rest):
+        expanded.append(text)
+        return expand(text, *rest)
+
+    monkeypatch.setattr(words, "_expand", counting)
+    word = " ".join(random.Random(5).choice(("x1", "x2", "x3^-1", "x2^2")) for _ in range(200))
+    lines = [
+        f"reduce --d 3 --json '{word}'",
+        f"eval --group metabelian --d 3 --json '{word}'",
+        f"eval --group heisenberg --d 3 '{word}'",
+        f"nf --d 3 '{word}'",
+        f"fox --d 3 --json '{word}'",
+        f"eq --group metabelian --d 3 '{word}' '{word} x1 x2 x1^-1 x2^-1'",
+        f"reduce --d 2 '{word}'",
+        "eval --group satellite --k 2 'x y x^-1 y^-1 z^-2'",
+        "eq --group satellite --k 2 'x y x^-1 y^-1' 'z^2'",
+    ]
+    commands = tmp_path / "commands.txt"
+    commands.write_text("".join(f"{line}\n{line}\n" for line in lines), encoding="utf-8")
+    assert main(["batch", str(commands)]) == 0
+    got = capsys.readouterr().out.splitlines()
+    # The refused rank-2 read is expanded each time; the others once.
+    assert expanded == [
+        word, f"{word} x1 x2 x1^-1 x2^-1", word, word, "x y x^-1 y^-1 z^-2", "x y x^-1 y^-1", "z^2"
+    ]
+    alone = []
+    for line in lines:
+        main(shlex.split(line))
+        captured = capsys.readouterr()
+        alone.append(captured.out.rstrip("\n") or "error: " + captured.err.removeprefix("error: ").rstrip("\n"))
+    assert got == [answer for answer in alone for _ in range(2)]
+    assert alone[6] == "error: generator index 3 out of range 1..2"
+
+
 def test_output_is_deterministic(capsys):
     argv = ["eval", "--group", "metabelian", "--d", "2", "--json", "x1 x2 x1^-1 x2^-1"]
     main(argv)

@@ -4,6 +4,7 @@ and the integer reading of the public constructors whose values they print."""
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 from types import MappingProxyType
 
@@ -36,6 +37,7 @@ from latticegroups import (
     plaquette_sum_from_json,
 )
 from latticegroups.cli import _Endpoint
+from latticegroups.lattice import _vector
 from latticegroups.satellite import GENERATOR_NAMES, SatelliteElement, from_word, generator
 from helpers import reference_json
 
@@ -307,3 +309,30 @@ def test_constructors_read_integers(build, column):
     else:
         with pytest.raises(TypeError):
             build(NOT_INTEGERS[column])
+
+
+TABLE = Cocycle(2, 3, {(1, 0): UNIT})
+# public call -> the vectors it takes, each read once however it is computed.
+VECTOR_READS = {
+    "section": (lambda: MetabelianElement.section((2, -3)), 1),
+    "Cocycle.value": (lambda: TABLE.value((1, 2), (-1, 1)), 2),
+    "Cocycle-call": (lambda: TABLE((1, 2), (-1, 1)), 2),
+    "check_cocycle_identity": (lambda: check_cocycle_identity(TABLE, (1, 0), (0, 1), (1, 1)), 3),
+}
+
+
+@pytest.mark.parametrize("name", VECTOR_READS)
+def test_each_vector_is_read_once(name, monkeypatch):
+    call, expected = VECTOR_READS[name]
+    answer = call()
+    reads = []
+
+    def counting(*args, **kwargs):
+        reads.append(args[0])
+        return _vector(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("latticegroups") and getattr(module, "_vector", None) is _vector:
+            monkeypatch.setattr(module, "_vector", counting)
+    assert call() == answer
+    assert len(reads) == expected

@@ -18,6 +18,7 @@ from latticegroups import (
     commutator,
     evaluate_path,
     free_reduce,
+    parse_named_word,
     parse_word,
     parse_letters,
     satellite,
@@ -321,12 +322,16 @@ _INDEXED = ("x1", "x2", "x3", "x4", "x5", "x1", "x2", "x", "y1", "x01", "x0", "x
 @example("x1^2 x1^2 x1^2", 2, 5)
 @example("x1^" + "0" * 4400 + "3 x5^" + "9" * 5000, 4, 3)
 def test_parse_word_matches_reference(text, d, limit):
-    # Read twice: with an empty token table, then with the one the first read left.
+    # Read three times: with empty tables, then with the token table the
+    # first read left, then from the word table the second read left.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(words, "MAX_LETTERS", limit)
         expected = _outcome(reference_parse_word, text, d)
-        words._TOKENS.clear()
+        _clear_tables()
         assert _outcome(parse_word, text, d) == expected
+        words._WORDS.clear()
+        assert _outcome(parse_word, text, d) == expected
+        assert ((text, d, limit) in words._WORDS) == (expected[0] == "ok")
         assert _outcome(parse_word, text, d) == expected
 
 
@@ -339,19 +344,33 @@ def test_parse_letters_matches_reference(text, limit):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(words, "MAX_LETTERS", limit)
         expected = _outcome(reference_parse_letters, text, alphabet)
-        words._TOKENS.clear()
+        _clear_tables()
         assert _outcome(parse_letters, text, alphabet) == expected
         assert _outcome(parse_letters, text, alphabet) == expected
+        # The reduced word of the same letters: with the token table warm,
+        # then from the word table.
+        reduced = ("ok", Word(expected[1], 3)) if expected[0] == "ok" else expected
+        assert _outcome(parse_named_word, text, alphabet) == reduced
+        assert ((text, alphabet, limit) in words._WORDS) == (expected[0] == "ok")
+        assert _outcome(parse_named_word, text, alphabet) == reduced
 
 
-# --- the token table: keyed on all a read depends on, and bounded --------------
+def _clear_tables():
+    words._TOKENS.clear()
+    words._WORDS.clear()
+
+
+# --- the token and word tables: keyed on all a read depends on, and bounded ---
 
 # Texts whose tokens read differently, or not at all, under another rank,
 # alphabet or letter limit: x3 is past rank 2, y is the first name of the
 # second alphabet, and under a limit of 3 an exponent of two digits or more
-# reads as 4, which a later read under a larger limit must not reuse.
-_TABLE_TEXTS = ("x1 x2^-1 x3^2", "x3^-1 x1", "x1^12 x2", "x2^0012 x1^3", "x1^-" + "0" * 40 + "7")
-_TABLE_NAMED = ("x y^-1 z^2", "y^12 x", "x^0012 w", "z^-3 y")
+# reads as 4, which a later read under a larger limit must not reuse. A word
+# of 41 letters is read under 10^6 but refused under 30.
+_TABLE_TEXTS = (
+    "x1 x2^-1 x3^2", "x3^-1 x1", "x1^12 x2", "x2^0012 x1^3", "x1^-" + "0" * 40 + "7", "x1^40 x2^-1"
+)
+_TABLE_NAMED = ("x y^-1 z^2", "y^12 x", "x^0012 w", "z^-3 y", "x^40 y^-1")
 _TABLE_READS = (
     [
         (parse_word, text, d, limit)
@@ -384,7 +403,7 @@ def test_token_table_read_matches_cold_read():
 
 
 def test_token_table_is_bounded():
-    words._TOKENS.clear()
+    _clear_tables()
     for n in range(1, words._TOKEN_CAP + 100):
         assert len(parse_word(f"x1^{n} x2", 2)) == n + 1
         assert 0 < len(words._TOKENS) <= words._TOKEN_CAP
@@ -393,6 +412,70 @@ def test_token_table_is_bounded():
     assert len(parse_word(f"{long} x2", 2)) == 4
     assert len(parse_letters("x^" + "0" * 10**4 + "3", ("x",))) == 3
     assert all(len(key[0]) <= words._TOKEN_TEXT_MAX for key in words._TOKENS)
+
+
+def _read(parse, text, grammar, limit):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "MAX_LETTERS", limit)
+        return _outcome(parse, text, grammar)
+
+
+# Each text of _TABLE_READS under every grammar and limit, the reads of one
+# text in a row: a word table keyed without the grammar or the limit answers
+# one of them with the word another read stored.
+_WORD_READS = sorted(
+    [(parse_named_word if parse is parse_letters else parse, *read) for parse, *read in _TABLE_READS],
+    key=lambda read: (read[0].__name__, read[1]),
+)
+
+
+def test_word_table_read_matches_cold_read():
+    cold = []
+    for read in _WORD_READS:
+        _clear_tables()
+        cold.append(_read(*read))
+    warm = []
+    for at, read in enumerate(_WORD_READS):
+        if at == 0 or read[:2] != _WORD_READS[at - 1][:2]:
+            _clear_tables()
+        warm.append(_read(*read))
+    assert warm == cold
+    assert words._WORDS
+
+
+def test_failed_word_reads_are_not_stored():
+    _clear_tables()
+    failing = [
+        (parse_word, "x1 x3", 2, 10**6),
+        (parse_word, "x1^3 x2", 2, 3),
+        (parse_word, "x1 x2^a", 2, 10**6),
+        (parse_word, " . ", 0, 10**6),
+        (parse_named_word, "x w", ("x", "y"), 10**6),
+        (parse_named_word, "", (), 10**6),
+    ]
+    for read in failing:
+        first = _read(*read)
+        assert first[0] != "ok"
+        assert _read(*read) == first
+    assert words._WORDS == {}
+
+
+def test_word_table_is_bounded():
+    _clear_tables()
+    for n in range(1, words._WORD_CAP + 10):
+        assert len(parse_word(f"x1^{n} x2", 2)) == n + 1
+        assert 0 < len(words._WORDS) <= words._WORD_CAP
+    # A read whose text and letters reach the stored size is answered, but
+    # never stored: a long text, or a short text of many letters.
+    _clear_tables()
+    size = words._WORD_SIZE_MAX
+    just_under = "x1 " * (size // 4 - 1)
+    assert len(just_under) + len(parse_word(just_under, 2)) < size
+    long_text = "x1 x1^-1 " * (size // 9 + 1)
+    assert parse_word(long_text, 2).is_identity()
+    assert len(parse_word(f"x1^{size}", 1)) == size
+    assert len(parse_named_word(f"x^{size - 8}", ("x",))) == size - 8
+    assert list(words._WORDS) == [(just_under, 2, words.MAX_LETTERS)]
 
 
 # --- free_reduce against the stack loop as first written ----------------------
