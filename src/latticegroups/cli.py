@@ -43,12 +43,10 @@ def _dumps(obj) -> str:
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
-    parts = [part.strip() for part in text.split(",")]
-    # Each part follows the exponent grammar of words, and is read alike: int()
-    # alone would also read Python literal syntax such as 1_0.
-    if not all(words._EXPONENT_RE.fullmatch(part) for part in parts):
+    # Each part is read as a word's exponent is.
+    vec = tuple(words._read_int(part.strip()) for part in text.split(","))
+    if None in vec:
         raise ValueError(f"bad vector {text!r}; expected comma-separated integers")
-    vec = tuple(map(words._read_int, parts))
     # The L1 norm is the length of the vector's monomial path.
     if sum(map(abs, vec)) > words.MAX_LETTERS:
         raise InputTooLargeError(f"vector {text!r} is longer than {words.MAX_LETTERS} unit steps")

@@ -181,25 +181,18 @@ def _least_plaquettes(flow: EdgeFlow) -> int:
     Projection commutes with the boundary. A plaquette of the (i, j) plane
     projects onto one plaquette of that plane and onto zero in every other
     plane, so each plane's count is at most the decomposition's count of
-    (i, j) plaquettes (plaquettes that land on the same square merge). The
-    edges are grouped by axis once, and a plane reads only its axis-i
-    edges, all that :func:`_column_runs` reads, so this costs the carried
-    axes times the support.
+    (i, j) plaquettes (plaquettes that land on the same square merge). Each
+    plane reads the whole support, so this costs the support times the
+    number of planes of carried axes.
     """
-    by_axis: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for key, coeff in flow._entries.items():
-        by_axis.setdefault(key[-1], []).append((key, coeff))
-    total = 0
-    for i, edges in by_axis.items():
-        for j in by_axis:
-            if j <= i:
-                continue
-            horizontal: dict[tuple[int, int, int], int] = {}
-            for key, coeff in edges:
-                _accumulate(horizontal, (key[i - 1], key[j - 1], 1), coeff)
-            runs = _column_runs(EdgeFlow._of(2, horizontal))
-            total += sum(high - low for _, low, high, _ in runs)
-    return total
+    axes = {key[-1] for key in flow._entries}
+    return sum(
+        high - low
+        for i in axes
+        for j in axes
+        if i < j
+        for _, low, high, _ in _column_runs(project_flow(flow, i, j))
+    )
 
 
 def _peel(flow: EdgeFlow) -> PlaquetteSum:

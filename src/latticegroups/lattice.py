@@ -128,9 +128,15 @@ class Chain:
         # A key is its cell's base followed by at most two axes, and map stops
         # at the key's end: the zeros shift the axes by 0.
         shift = (*vec, 0, 0)
-        return self._of(
-            self.d, {tuple(map(add, key, shift)): coeff for key, coeff in self._entries.items()}
+        return self._like(
+            {tuple(map(add, key, shift)): coeff for key, coeff in self._entries.items()}
         )
+
+    def _like(self, entries: dict, other: Chain | None = None):
+        """A result of this chain's algebra, with ``entries``; ``other`` is the
+        second operand of a sum or difference. A subclass overrides this
+        one hook to pass on what such results keep."""
+        return self._of(self.d, entries)
 
     def _check_rank(self, other: "Chain") -> None:
         if self.d != other.d:
@@ -145,7 +151,7 @@ class Chain:
         entries = dict(self._entries)
         for key, coeff in other._entries.items():
             _accumulate(entries, key, coeff)
-        return self._of(self.d, entries)
+        return self._like(entries, other)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -154,17 +160,17 @@ class Chain:
         entries = dict(self._entries)
         for key, coeff in other._entries.items():
             _accumulate(entries, key, -coeff)
-        return self._of(self.d, entries)
+        return self._like(entries, other)
 
     def __neg__(self):
-        return self._of(self.d, {key: -coeff for key, coeff in self._entries.items()})
+        return self._like({key: -coeff for key, coeff in self._entries.items()})
 
     def __mul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
         if not scalar:  # zero entries are never stored
-            return self._of(self.d, {})
-        return self._of(self.d, {key: scalar * coeff for key, coeff in self._entries.items()})
+            return self._like({})
+        return self._like({key: scalar * coeff for key, coeff in self._entries.items()})
 
     __rmul__ = __mul__
 
@@ -204,7 +210,6 @@ class EdgeFlow(Chain):
 
     __slots__ = ("_closed",)  # True once known to be a cycle; chains never change
 
-    # perfbench/spans.py finds traced methods in vars(EdgeFlow): define them in this body.
     def __init__(self, d: int, items=()):
         Chain.__init__(self, d, items)
         self._closed = False  # public input: checked on first use
@@ -220,37 +225,16 @@ class EdgeFlow(Chain):
 
     # Sums and differences of cycles are cycles, and so are the negation,
     # multiples and translates of one.
-    def __add__(self, other):
-        flow = Chain.__add__(self, other)
-        if flow is not NotImplemented:
-            flow._closed = self._closed and other._closed
-        return flow
+    def _like(self, entries: dict, other: EdgeFlow | None = None):
+        return EdgeFlow._of(self.d, entries, self._closed and (other is None or other._closed))
 
-    def __sub__(self, other):
-        flow = Chain.__sub__(self, other)
-        if flow is not NotImplemented:
-            flow._closed = self._closed and other._closed
-        return flow
-
-    def __neg__(self):
-        flow = Chain.__neg__(self)
-        flow._closed = self._closed
-        return flow
-
-    def __mul__(self, scalar: int):
-        flow = Chain.__mul__(self, scalar)
-        if flow is not NotImplemented:
-            flow._closed = self._closed
-        return flow
-
-    __rmul__ = __mul__
-
-    translate = Chain.translate  # which calls the _translated below
-
-    def _translated(self, vec: Vector):
-        flow = Chain._translated(self, vec)
-        flow._closed = self._closed
-        return flow
+    # perfbench/spans.py traces these through vars(EdgeFlow), so each is bound
+    # here by name; all of them build their results through _like.
+    __add__ = Chain.__add__
+    __sub__ = Chain.__sub__
+    __neg__ = Chain.__neg__
+    __mul__ = __rmul__ = Chain.__mul__
+    translate = Chain.translate
 
     @staticmethod
     def _key(key, d: int) -> tuple[int, ...]:

@@ -262,15 +262,17 @@ def equal_images(fold: Callable[[Word], object], u: Word, v: Word) -> bool:
     return fold(~u * v) == fold(Word._of((), u.d))
 
 
-_EXPONENT_RE = re.compile(r"[+-]?\d+")
+_INT_RE = re.compile(r"[+-]?\d+")
 
 
-def _read_int(text: str) -> int:
-    """The integer of text that matches ``_EXPONENT_RE``, read alike on every
-    Python: ``int()`` refuses more than 4300 digits from CPython 3.10.7 on,
-    leading zeros too. Leading zero digits are dropped, and a value with more
-    significant digits than MAX_LETTERS has reads as +-(MAX_LETTERS + 1),
-    which is past every length limit all the same."""
+def _read_int(text: str) -> int | None:
+    """The integer of ``text`` if it is an optional sign and then decimal
+    digits, else None: ``int()`` alone also reads ``1_0``, and refuses more
+    than 4300 digits from CPython 3.10.7 on, leading zeros too. Leading zero
+    digits are dropped, and a value with more significant digits than
+    MAX_LETTERS has reads as +-(MAX_LETTERS + 1), past every length limit."""
+    if not _INT_RE.fullmatch(text):
+        return None
     if len(text) <= len(str(MAX_LETTERS)):  # too few digits for either limit
         return int(text)
     digits = text.lstrip("+-")
@@ -285,9 +287,9 @@ def _split_exponent(token: str) -> tuple[str, int]:
     name, caret, tail = token.partition("^")
     if not caret:
         return token, 1
-    if not _EXPONENT_RE.fullmatch(tail):
-        raise WordSyntaxError(f"bad exponent in token {token!r}")
     exponent = _read_int(tail)
+    if exponent is None:
+        raise WordSyntaxError(f"bad exponent in token {token!r}")
     if exponent == 0:
         raise WordSyntaxError(f"zero exponent in token {token!r}")
     return name, exponent

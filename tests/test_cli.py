@@ -403,6 +403,26 @@ def test_digits_past_int_limit_read_like_short_ones(capsys):
     assert capsys.readouterr().out == out
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="+-0123456789_\u0663x", max_size=6))
+@example("0" * 5000)
+@example("-" + "0" * 5000)
+@example("-" + "0" * 5000 + "2")
+def test_vector_parts_and_exponents_read_one_grammar(text):
+    # A vector part is refused exactly when the same text is refused as an
+    # exponent. Zero is the one value read apart: a zero exponent is its own
+    # error, while a zero part is a coordinate like any other. "--" keeps a
+    # text led by "-" a vector, not an option.
+    vector = _run_main(["cocycle", "--", f"{text},0", "0,1"])
+    word = _run_main(["reduce", "--d", "1", f"x1^{text}"])
+    bad_vector = vector[2] == f"error: bad vector {text + ',0'!r}; expected comma-separated integers\n"
+    bad_exponent = word[2] == f"error: bad exponent in token {'x1^' + text!r}\n"
+    assert bad_vector == bad_exponent
+    if not bad_vector:
+        assert vector[::2] == (0, "")
+        assert word[::2] in ((0, ""), (2, f"error: zero exponent in token {'x1^' + text!r}\n"))
+
+
 def test_area_rank_error_names_no_decomposition(capsys):
     # area and decompose share one rank check, and area decomposes nothing.
     assert main(["area", "--d", "3", "x1"]) == 2

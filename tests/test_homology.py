@@ -3,6 +3,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticegroups import (
     Edge,
@@ -16,6 +17,7 @@ from latticegroups import (
     cube_relation,
     decompose_cycle,
     decompose_cycle_2d,
+    evaluate_letters,
     evaluate_path,
     plaquette_boundary,
     plaquette_sum_from_json,
@@ -293,6 +295,32 @@ class TestPlaquetteLimit:
             assert _least_plaquettes(flow) <= len(decompose_cycle(flow))
         flow = flow_of("x1^2 x3^3 x1^-2 x3^-3", d=d)
         assert _least_plaquettes(flow) == len(decompose_cycle(flow)) == 6
+
+
+def _walk_home(d: int, steps) -> EdgeFlow:
+    """The flow of a walk of unit steps ``(axis, sign)`` in Z^d, closed by the
+    straight way home: back along axis 1, then axis 2, and so on."""
+    letters = [(axis, sign) for axis, sign in steps if axis <= d]
+    end = evaluate_letters(letters, d).endpoint
+    for axis, coord in enumerate(end, 1):
+        letters += [(axis, -1 if coord > 0 else 1)] * abs(coord)
+    return evaluate_letters(letters, d).flow
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([3, 4]),
+    st.lists(st.tuples(st.integers(1, 4), st.sampled_from([1, -1])), max_size=14),
+)
+def test_least_plaquettes_is_its_definition(d, steps):
+    # The sum over every plane of the count in the unique decomposition of
+    # the projection, and at most the count in any decomposition.
+    flow = _walk_home(d, steps)
+    assert flow.is_cycle()
+    planes = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    least = sum(len(decompose_cycle(project_flow(flow, i, j))) for i, j in planes)
+    assert _least_plaquettes(flow) == least
+    assert least <= len(decompose_cycle(flow))
 
 
 class TestProjection:
