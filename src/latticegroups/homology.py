@@ -19,6 +19,7 @@ from .lattice import (
     Vector,
     _accumulate,
     _json_ints_template,
+    _json_rows,
     _vec_text,
     _vector,
     basis_vector,
@@ -110,8 +111,10 @@ class PlaquetteSum(Chain):
     def as_json(self) -> str:
         """The canonical JSON text of the sorted entries:
         ``[{"base":[...],"i":i,"j":j,"mult":m},...]``."""
+        entries = self._entries
+        keys = sorted(entries)
         row = '{"base":' + _json_ints_template(self.d) + ',"i":%d,"j":%d,"mult":%d}'
-        return "[" + ",".join(self._rows(row)) + "]"
+        return _json_rows(row, (*zip(*keys), map(entries.__getitem__, keys)), len(keys))
 
     def __str__(self) -> str:
         """The human text of the sorted entries: ``[(x, y):(i,j):+m, ...]``."""
@@ -309,7 +312,8 @@ def project_flow(flow: EdgeFlow, i: int, j: int) -> EdgeFlow:
         axis = key[-1]
         if axis == i or axis == j:
             _accumulate(entries, (key[i - 1], key[j - 1], 1 if axis == i else 2), coeff)
-    return EdgeFlow._of(2, entries)
+    # Projection commutes with the boundary: a cycle projects onto a cycle.
+    return EdgeFlow._of(2, entries, flow._closed)
 
 
 def plaquette_sum_from_json(obj, d: int) -> PlaquetteSum:

@@ -9,8 +9,10 @@ only the view that ``entries()`` and ``support()`` return.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from operator import add, index
+from itertools import compress, repeat
+from operator import add, index, not_
 from typing import Iterable, Mapping, NamedTuple
 
 from .words import Letter, RankMismatchError, Word, _checked_letters, _new
@@ -58,6 +60,49 @@ def _json_ints(values) -> str:
     return _json_ints_template(len(values)) % tuple(values)
 
 
+class _IntTexts(dict):
+    """Decimal texts of ints: a stored text for each int the table was built
+    with, and ``str()`` of any other, which is not stored."""
+
+    __slots__ = ()
+    __missing__ = str
+
+
+# Coordinates and coefficients of the long answers are mostly small: a d = 3
+# walk of 2*10^4 random unit letters stays within about 250 of the origin.
+_TEXT_MAX = 512
+
+
+@functools.cache
+def _int_texts() -> _IntTexts:
+    """The process's table of the texts of -_TEXT_MAX.._TEXT_MAX, built on
+    first use, not at import, which each CLI launch pays for."""
+    return _IntTexts({n: str(n) for n in range(-_TEXT_MAX, _TEXT_MAX + 1)})
+
+
+# Fewer rows than this are written with one % each: below it, setting up the
+# joins costs more than they save.
+_JOINED_ROWS = 16
+
+
+def _json_rows(row: str, columns, rows: int) -> str:
+    """The JSON array of ``rows`` rows, each ``row`` with its ``%d`` fields
+    filled in order from ``columns``: field c of row r is ``columns[c][r]``.
+
+    From _JOINED_ROWS rows on, each row is joined in C from the fixed texts
+    between its fields and the texts of its ints, read from
+    :func:`_int_texts`; ``%`` per row would parse its template and format
+    every int anew."""
+    if rows < _JOINED_ROWS:
+        return "[" + ",".join(map(row.__mod__, zip(*columns))) + "]"
+    text = _int_texts().__getitem__
+    pieces = row.split("%d")
+    parts = [repeat(pieces[0])]
+    for column, piece in zip(columns, pieces[1:]):
+        parts += (map(text, column), repeat(piece))
+    return "[" + ",".join(map("".join, zip(*parts))) + "]"
+
+
 def _vec_text(values) -> str:
     """The human text of a vector: ``(1, -2)``, and ``(5)`` in rank 1."""
     return "(" + ", ".join(map(str, values)) + ")"
@@ -72,6 +117,14 @@ def _accumulate(entries: dict, key, coeff: int) -> None:
         entries[key] = total
     else:
         del entries[key]
+
+
+def _drop_zeros(entries: dict) -> None:
+    """Delete the zero entries a fold left, in place: rebuilding the dict
+    without them costs more."""
+    if 0 in entries.values():
+        for key in list(compress(entries, map(not_, entries.values()))):
+            del entries[key]
 
 
 class Chain:
@@ -278,10 +331,8 @@ class EdgeFlow(Chain):
             return "[]"
         row = '{"axis":%d,"base":' + _json_ints_template(self.d) + ',"mult":%d}'
         keys = sorted(entries)
-        # Each row's values are gathered in C, from the columns of the keys.
         *bases, axes = zip(*keys)
-        rows = map(row.__mod__, zip(axes, *bases, map(entries.__getitem__, keys)))
-        return "[" + ",".join(rows) + "]"
+        return _json_rows(row, (axes, *bases, map(entries.__getitem__, keys)), len(keys))
 
     def __str__(self) -> str:
         """The human text of the sorted entries: ``[(x, y):axis:+m, ...]``."""
@@ -325,8 +376,7 @@ def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> Pat
             key = (*position, axis)
             entries[key] = get(key, 0) - 1
     # Edges walked both ways cancel to zero; they leave the support here, once.
-    if 0 in entries.values():
-        entries = {key: coeff for key, coeff in entries.items() if coeff}
+    _drop_zeros(entries)
     # The endpoint is ints by construction: skip the public check. A path
     # that ends at the origin is a loop, so its flow is a cycle.
     end = tuple(position)

@@ -20,8 +20,10 @@ from .homology import Plaquette
 from .lattice import (
     EdgeFlow,
     Vector,
+    _drop_zeros,
     _json_ints,
     _json_ints_template,
+    _json_rows,
     _vec_text,
     _vector,
     evaluate_path,
@@ -147,10 +149,11 @@ class FoxImage(_FoxFields):
         """The canonical JSON text: ``{"derivatives":[[{"coeff":c,"point":[...]},
         ...],...],"monomial":[...]}``, each component sorted on its points."""
         row = '{"coeff":%d,"point":' + _json_ints_template(len(self.monomial)) + "}"
-        components = [
-            "[" + ",".join([row % (component[point], *point) for point in sorted(component)]) + "]"
-            for component in self.derivatives
-        ]
+        components = []
+        for component in self.derivatives:
+            points = sorted(component)
+            columns = (map(component.__getitem__, points), *zip(*points))
+            components.append(_json_rows(row, columns, len(points)))
         return (
             '{"derivatives":[' + ",".join(components) + '],"monomial":'
             + _json_ints(self.monomial) + "}"
@@ -198,10 +201,7 @@ def fox_image(word: Word) -> FoxImage:
             exponent[axis - 1] -= 1
             point = tuple(exponent)
             component[point] = component.get(point, 0) - 1
-    derivatives = [
-        {point: coeff for point, coeff in component.items() if coeff}
-        if 0 in component.values() else component
-        for component in derivatives
-    ]
+    for component in derivatives:
+        _drop_zeros(component)
     # The fold's exponents and coefficients are ints: skip the public check.
     return tuple.__new__(FoxImage, (tuple(exponent), tuple(derivatives)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import index
 from typing import Iterable
 
-from .cocycles import canonical_cocycle, monomial_flow
+from .cocycles import _monomial_flow, canonical_cocycle
 from .homology import (
     NotACycleError,
     Plaquette,
@@ -20,7 +20,7 @@ from .homology import (
     algebraic_area,
     plaquette_boundary,
 )
-from .lattice import EdgeFlow, Vector, _accumulate, _json_ints, _vec_text, _vector, vec_add, vec_neg
+from .lattice import EdgeFlow, Vector, _drop_zeros, _json_ints, _vec_text, _vector, vec_add, vec_neg
 from .words import (
     GroupElement,
     Letter,
@@ -139,19 +139,24 @@ def from_word(word: str | Iterable[Letter], k: int) -> SatelliteElement:
     k = index(k)
     position = [0, 0]
     entries: dict[tuple[int, int, int], int] = {}
+    get = entries.get
     for axis, sign in letters:
         if axis == 3:
             for edge, edge_sign in _boundary_edges((*position, 1, 2)):
-                _accumulate(entries, edge, sign * edge_sign)
+                entries[edge] = get(edge, 0) + sign * edge_sign
         elif sign > 0:
-            _accumulate(entries, (*position, axis), k)
+            key = (*position, axis)
+            entries[key] = get(key, 0) + k
             position[axis - 1] += 1
         else:
             position[axis - 1] -= 1
-            _accumulate(entries, (*position, axis), -k)
+            key = (*position, axis)
+            entries[key] = get(key, 0) - k
     end = tuple(position)
-    for edge, coeff in monomial_flow(end)._entries.items():
-        _accumulate(entries, edge, -k * coeff)
+    for edge, coeff in _monomial_flow(end)._entries.items():
+        entries[edge] = get(edge, 0) - k * coeff
+    # Edges that cancel, and every edge at k = 0, leave the support here, once.
+    _drop_zeros(entries)
     return SatelliteElement._of(k, end, EdgeFlow._of(2, entries, True))
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import ne, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -158,6 +158,18 @@ class _Inverses(dict):
         return inverse
 
 
+class _LetterTexts(dict):
+    """A table from each letter met to its text, ``x2`` or ``x2^-1``, filled
+    on first use: one per call, like :class:`_Inverses`."""
+
+    __slots__ = ()
+
+    def __missing__(self, letter):
+        axis, sign = letter
+        self[letter] = text = f"x{axis}" if sign > 0 else f"x{axis}^-1"
+        return text
+
+
 def commutator(a, b):
     """``[a, b] = a b a^-1 b^-1`` for any two group elements of one group."""
     return a * b * a.inverse() * b.inverse()
@@ -231,17 +243,23 @@ class Word(GroupElement):
         if not letters:
             return ""
         # A run starts at 0 and wherever a letter differs from the one before
-        # it: found in C, as is each run's (first letter, length) pair. The
-        # text of each distinct pair is written once.
-        starts = [0, *compress(count(1), map(ne, letters[1:], letters))]
-        ends = [*starts[1:], len(letters)]
-        runs = list(zip(map(letters.__getitem__, starts), map(sub, ends, starts)))
-        texts = {}
-        for run in set(runs):
-            (axis, sign), length = run
-            exponent = sign * length
-            texts[run] = f"x{axis}" if exponent == 1 else f"x{axis}^{exponent}"
-        return " ".join(map(texts.__getitem__, runs))
+        # it: found in C, as is each run's first letter. Every run is written
+        # as its first letter; then only the runs longer than one letter are
+        # rewritten, with one text per distinct (letter, length).
+        tail = letters[1:]
+        differs = list(map(ne, tail, letters))
+        starts = [0, *compress(count(1), differs), len(letters)]
+        firsts = [letters[0], *compress(tail, differs)]
+        parts = list(map(_LetterTexts().__getitem__, firsts))
+        runs: dict[tuple[Letter, int], str] = {}
+        for at in compress(count(), map(ne, map(sub, starts[1:], starts), repeat(1))):
+            run = firsts[at], starts[at + 1] - starts[at]
+            text = runs.get(run)
+            if text is None:
+                (axis, sign), length = run
+                text = runs[run] = f"x{axis}^{sign * length}"
+            parts[at] = text
+        return " ".join(parts)
 
     def as_json(self) -> str:
         """The canonical JSON text ``{"word":"..."}``: the text needs no escapes."""

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import random
@@ -936,6 +937,95 @@ def test_split_line_reads_a_long_argument():
 
 def test_nf_rejects_other_groups(capsys):
     assert main(["nf", "--group", "free", "--d", "2", "x1"]) == 2
+
+
+# --- the cyclic garbage collector: paused for one command ------------------
+
+# A refused input of every verb: one error: line, exit 2.
+REFUSED = [
+    (["reduce", "--d", "2", "x3"], 2),
+    (["eval", "--group", "metabelian", "--d", "2", "x1^0"], 2),
+    (["eq", "--group", "abelian", "--d", "2", "x1", "x1^"], 2),
+    (["nf", "--d", "2", "y"], 2),
+    (["decompose", "--d", "2", "x1"], 2),
+    (["area", "--d", "3", "x1 x2 x1^-1 x2^-1"], 2),
+    (["cocycle", "1,0", "0,1,2"], 2),
+    (["beta", "--perturb", str(DATA / BAD_PERTURB[0])], 2),
+    (["fox", "--d", "2", "x1 w"], 2),
+    (["member", "--sub", "M", "x^1.5"], 2),
+    (["batch", str(DATA / "none.txt")], 2),
+]
+# What argparse refuses (exit 2) or answers with help (exit 0).
+ARGPARSE_EXITS = [
+    (["eval", "x1"], 2),
+    (["frobnicate", "x1"], 2),
+    (["reduce", "--bogus", "x1"], 2),
+    ([], 2),
+    (["-h"], 0),
+    (["eval", "-h"], 0),
+]
+COMMANDS = [(argv, code) for _, argv, code in MATRIX] + REFUSED
+
+
+def _collector_batch(tmp_path):
+    """A batch file of mixed lines: answers, refusals, argparse fallback
+    lines, help lines, unknown verbs, an unclosed quote and a nested batch."""
+    lines = [*REUSE_LINES, "frobnicate x1", "eval --gro abelian --d=3 x1", 'reduce "x1', "", "eval -h x1"]
+    path = tmp_path / "lines.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["batch", str(path)], 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_was(enabled, tmp_path, capsys):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in [*COMMANDS, *ARGPARSE_EXITS, _collector_batch(tmp_path)]:
+            assert main(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_command_runs_with_the_collector_paused(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def stub(args):
+        seen.append(gc.isenabled())
+        return "stub", 0
+
+    monkeypatch.setattr(cli, "_cmd_area", stub)
+    commands = tmp_path / "commands.txt"
+    commands.write_text('area --d 2 "x2 x1"\n', encoding="utf-8")
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        assert main(["area", "--d", "2", "x1 x2"]) == 0
+        assert main(["batch", str(commands)]) == 0
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    # main runs with the collector paused, so a command that left reference
+    # cycles would hold their memory until the caller's next collection.
+    # Usage and help text printed by argparse is left out: its formatter and
+    # sections refer to each other, a few cycles per call. A batch line
+    # formats none, and its file holds argparse's refusals and help lines.
+    cli._parser()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for argv, code in [*COMMANDS, _collector_batch(tmp_path)]:
+            gc.collect()
+            assert main(argv) == code, argv
+            assert gc.collect() == 0, argv
+    finally:
+        if was:
+            gc.enable()
 
 
 # --- fuzz: the CLI contract for any argv and any batch file -----------------

@@ -346,6 +346,16 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_flow(EdgeFlow(3), 2, 2)
 
+    def test_projection_keeps_the_cycle_bit(self):
+        # A loop's flow is known to be a cycle, and so is each projection of
+        # it; a public flow is checked on first use, and so is its projection.
+        flow = flow_of("x1 x2 x3 x1^-1 x2^-1 x3^-1", d=3)
+        assert flow._closed
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            assert project_flow(flow, i, j)._closed
+            assert not project_flow(EdgeFlow(3, flow.entries()), i, j)._closed
+        assert not project_flow(flow_of("x1 x2 x3", d=3), 1, 2)._closed
+
 
 def test_plaquette_sum_json_round_trip():
     ps = PlaquetteSum(2, {Plaquette((0, 0), 1, 2): 2, Plaquette((-1, 3), 1, 2): -1})

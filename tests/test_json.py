@@ -63,25 +63,34 @@ COEFFS = st.one_of(
 RANKS = st.integers(1, 4)
 
 
-def _vectors(d):
-    return st.tuples(*[st.integers(-5, 5)] * d)
+COORDS = st.integers(-5, 5)
+# Ints on both sides of the edges of the writers' table of small int texts
+# (-512..512), and of tables half and twice its size, and past 2^64.
+TABLE_EDGES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([sign * n for n in (256, 257, 512, 513, 1024, 1025, 2**70) for sign in (1, -1)]),
+)
+
+
+def _vectors(d, coords=COORDS):
+    return st.tuples(*[coords] * d)
 
 
 @st.composite
-def flows(draw):
+def flows(draw, coords=COORDS, coeffs=COEFFS, max_size=8):
     d = draw(RANKS)
-    edges = st.tuples(_vectors(d), st.integers(1, d))
-    return EdgeFlow(d, draw(st.lists(st.tuples(edges, COEFFS), max_size=8)))
+    edges = st.tuples(_vectors(d, coords), st.integers(1, d))
+    return EdgeFlow(d, draw(st.lists(st.tuples(edges, coeffs), max_size=max_size)))
 
 
 @st.composite
-def plaquette_sums(draw, ranks=RANKS):
+def plaquette_sums(draw, ranks=RANKS, coords=COORDS, coeffs=COEFFS, max_size=8):
     d = draw(ranks)
     if d == 1:  # no plaquette has rank 1
         return PlaquetteSum(1)
     axes = st.tuples(st.integers(1, d - 1), st.integers(2, d)).filter(lambda ij: ij[0] < ij[1])
-    keys = st.tuples(_vectors(d), axes).map(lambda key: Plaquette(key[0], *key[1]))
-    return PlaquetteSum(d, draw(st.lists(st.tuples(keys, COEFFS), max_size=8)))
+    keys = st.tuples(_vectors(d, coords), axes).map(lambda key: Plaquette(key[0], *key[1]))
+    return PlaquetteSum(d, draw(st.lists(st.tuples(keys, coeffs), max_size=max_size)))
 
 
 @st.composite
@@ -108,11 +117,11 @@ def satellite_elements(draw):
 
 
 @st.composite
-def fox_images(draw):
+def fox_images(draw, coords=COORDS, coeffs=COEFFS, max_size=5):
     d = draw(RANKS)
-    components = st.dictionaries(_vectors(d), COEFFS, max_size=5)
+    components = st.dictionaries(_vectors(d, coords), coeffs, max_size=max_size)
     derivatives = draw(st.lists(components, min_size=d, max_size=d))
-    return FoxImage(draw(_vectors(d)), tuple(derivatives))
+    return FoxImage(draw(_vectors(d, coords)), tuple(derivatives))
 
 
 ENDPOINTS = RANKS.flatmap(_vectors).map(_Endpoint)
@@ -184,6 +193,25 @@ ANSWERS = st.one_of(
 @given(ANSWERS)
 def test_str_is_the_reference_text(value):
     assert str(value) == TEXT_REFERENCE[type(value)](value)
+
+
+# Up to 40 entries: the writers join the rows of an answer of 16 or more.
+@given(
+    st.one_of(
+        flows(TABLE_EDGES, TABLE_EDGES, max_size=40),
+        plaquette_sums(coords=TABLE_EDGES, coeffs=TABLE_EDGES, max_size=40),
+        fox_images(TABLE_EDGES, TABLE_EDGES, max_size=40),
+    )
+)
+@example(FoxImage((1025,), ({},)))
+@example(EdgeFlow(2, {((n, -n), 1 + n % 2): -n for n in (*range(500, 530), 1024, 1025, 2**70)}))
+@example(FoxImage((0, 1), ({}, {(n, n % 3): 1 - n for n in range(1010, 1030)})))
+@example(FoxImage((-513, 0, 2**70), ({}, {(512, -1025, 0): -513}, {})))
+@example(EdgeFlow(4, {((512, -512, 513, -513), 4): 1024, ((1025, -1025, 2**70, -(2**70)), 1): -1025}))
+def test_writers_on_both_sides_of_the_int_table(value):
+    assert value.as_json() == reference_json(value)
+    if not isinstance(value, PlaquetteSum):
+        assert str(value) == TEXT_REFERENCE[type(value)](value)
 
 
 def test_empty_values():
