@@ -15,7 +15,6 @@ import io
 import json
 import re
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 
 from .cocycles import Cocycle, _rectangle_edges, canonical_cocycle, cocycle_index
 from .homology import NotACycleError, algebraic_area, decompose_cycle, plaquette_sum_from_json
@@ -185,7 +184,8 @@ def _cmd_fox(args) -> tuple[str, int]:
 
 
 def _cmd_member(args) -> tuple[str, int]:
-    elem = satellite.from_word(args.word, args.k)
+    read, fold = REGISTRY["satellite"]
+    elem = fold(read(args.word, args), args)
     member = {"N": elem.in_N, "M": elem.in_M, "commutant": elem.in_commutant}[args.sub]()
     return (_dumps({"member": member}) if args.json else ("true" if member else "false")), 0
 
@@ -220,15 +220,16 @@ class _Parser(argparse.ArgumentParser):
 def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:
     """Execute one command line with the process's parser; returns
     (output, error message, exit code)."""
-    args = _read_argv(tokens)
-    if args is None:
-        try:
-            # A bad line is reported as one marker: argparse's usage text, and
-            # the help text of -h, are dropped, not put into the results.
-            with redirect_stdout(_DISCARD), redirect_stderr(_DISCARD):
-                args = _parse_args(tokens)
-        except SystemExit:
-            return None, "bad arguments", 2
+    # A bad line is reported as one marker: argparse's usage and help text is
+    # dropped. The streams are swapped by hand: two redirects cost more.
+    streams = sys.stdout, sys.stderr
+    sys.stdout = sys.stderr = _DISCARD
+    try:
+        args = _parse(tokens)
+    except SystemExit:
+        return None, "bad arguments", 2
+    finally:
+        sys.stdout, sys.stderr = streams
     if args.verb == "batch":
         return None, "batch cannot be nested", 2
     try:
@@ -436,20 +437,15 @@ def _build_parser() -> _Parsers:
     return parser, {name: (sub, _table(sub)) for name, sub in verbs.choices.items()}
 
 
-# The parsers of this process: built by the first main call, not at import,
-# and reused by every later call and batch line.
-_PARSER: _Parsers | None = None
-
-
+@functools.cache
 def _parser() -> _Parsers:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    return _PARSER
+    """The parsers of this process: built by the first main call, not at
+    import, and reused by every later call and batch line."""
+    return _build_parser()
 
 
 def _read_argv(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace :func:`_parse_args` gives, read without argparse when
+    """The Namespace :func:`_parse` gives, read without argparse when
     every token after a known verb is one of the verb's exact store or
     store_true option strings, or an argument in argparse's sense: a token
     not led by "-", or one the verb's parser reads as a negative number. An
@@ -497,13 +493,17 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(**args)
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, parsed once: the top-level parser would
-    classify every token and then hand ``argv[1:]`` to the verb's subparser,
-    which does it again, so a known verb goes to its subparser directly.
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, parsed once: :func:`_read_argv` reads the
+    plain argv of nearly every call and batch line, and a known verb's other
+    argv goes to its subparser directly (the top-level parser would classify
+    every token, then hand ``argv[1:]`` to the subparser to do it again).
     Everything else (no arguments, a leading option, an unknown verb, or
     arguments the subparser leaves over) goes to the top-level parser, which
-    writes its own usage, help and error text."""
+    reads, refuses or answers (help) it and writes its own text."""
+    args = _read_argv(argv)
+    if args is not None:
+        return args
     parser, verbs = _parser()
     if argv and argv[0] in verbs:
         args, extras = verbs[argv[0]][0].parse_known_args(argv[1:])
@@ -511,14 +511,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             args.verb = argv[0]
             return args
     return parser.parse_args(argv)
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``: :func:`_read_argv` reads the plain argv
-    of nearly every call and batch line, and argparse reads, refuses or
-    answers (help) the rest."""
-    args = _read_argv(argv)
-    return _parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
@@ -529,25 +521,21 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _main(sys.argv[1:] if argv is None else argv)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _main(argv: list[str]) -> int:
-    try:
-        args = _parse(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         output, code = globals()[args.handler](args)
+    except SystemExit as exc:  # argparse refused the argv, or printed help
+        return 2 if exc.code else 0
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if output is not None:
-        print(output)
-    return code
+    else:
+        # Outside the handlers: a failed write raises, not an error: line.
+        if output is not None:
+            print(output)
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

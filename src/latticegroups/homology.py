@@ -94,8 +94,7 @@ class PlaquetteSum(Chain):
     def _view(key) -> Plaquette:
         return _new(Plaquette, (key[:-2], key[-2], key[-1]))
 
-    def coefficient(self, plaquette: Plaquette | tuple[Vector, int, int]) -> int:
-        return self._entries.get(self._key(plaquette, self.d), 0)
+    coefficient = Chain.value
 
     def total(self) -> int:
         return sum(self._entries.values())

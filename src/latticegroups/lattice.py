@@ -160,6 +160,10 @@ class Chain:
         chain._entries = entries
         return chain
 
+    def value(self, key) -> int:
+        """The coefficient at one public key, read as ``_key`` reads it, or 0."""
+        return self._entries.get(self._key(key, self.d), 0)
+
     def entries(self) -> list:
         """Entries sorted on their keys, each key as its public view."""
         # Keys are unique and of one length, so sorting them gives the order
@@ -253,9 +257,6 @@ class VertexChain(Chain):
     def _key(vertex, d: int) -> Vector:
         return _vector(vertex, d, "vertex")
 
-    def value(self, vertex: Vector) -> int:
-        return self._entries.get(self._key(vertex, self.d), 0)
-
 
 class EdgeFlow(Chain):
     """Finitely supported integer multiplicities on positively oriented edges,
@@ -300,9 +301,6 @@ class EdgeFlow(Chain):
     @staticmethod
     def _view(key) -> Edge:
         return _new(Edge, (key[:-1], key[-1]))
-
-    def value(self, edge: Edge | tuple[Vector, int]) -> int:
-        return self._entries.get(self._key(edge, self.d), 0)
 
     def support(self) -> list[Edge]:
         return [self._view(key) for key in sorted(self._entries)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import index
 from typing import Mapping
 
-from .lattice import Vector, _accumulate, _json_ints, _vec_text, _vector, vec_add, vec_neg
+from .lattice import Vector, _accumulate, _drop_zeros, _json_ints, _vec_text, _vector, vec_add, vec_neg
 from .words import GroupElement, RankMismatchError, Word
 
 
@@ -64,8 +64,7 @@ class HeisenbergElement(GroupElement):
                 if position[at]:
                     areas[key] = get(key, 0) + position[at] * sign
             position[axis - 1] += sign
-        if 0 in areas.values():
-            areas = {key: value for key, value in areas.items() if value}
+        _drop_zeros(areas)
         return cls._of(tuple(position), areas)
 
     def area(self, i: int, j: int) -> int:

@@ -1,9 +1,11 @@
 """Shared builders for the test suite: seeded random words, loops, and flows,
 and plain per-letter references for the folds and texts of a word."""
 
+import importlib.util
 import json
 import random
 from itertools import groupby
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -171,6 +173,16 @@ JSON_REFERENCE = {
         ],
     },
 }
+
+
+def load_reference():
+    """perfbench/reference.py, which computes and formats every answer
+    without importing latticegroups, loaded by its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def reference_json(value) -> str:

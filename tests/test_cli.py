@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from latticegroups import MetabelianElement, cli, lattice, parse_word, words
 from latticegroups.cli import REGISTRY, SUBGROUPS, main
+from helpers import load_reference
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -508,8 +509,9 @@ def empty_word_tables():
 
 
 def test_batch_reads_each_word_text_once(tmp_path, monkeypatch, capsys, empty_word_tables):
-    # One word under every verb that reads it, and a satellite word twice:
-    # each text is expanded once, and every line answers as it does alone.
+    # One word under every verb that reads it, and a satellite word under
+    # eval and both member tests: each text is expanded once, and every line
+    # answers as it does alone.
     expanded = []
     expand = words._expand
 
@@ -528,6 +530,8 @@ def test_batch_reads_each_word_text_once(tmp_path, monkeypatch, capsys, empty_wo
         f"eq --group metabelian --d 3 '{word}' '{word} x1 x2 x1^-1 x2^-1'",
         f"reduce --d 2 '{word}'",
         "eval --group satellite --k 2 'x y x^-1 y^-1 z^-2'",
+        "member --sub M --k 3 'x y x^-1 y^-1 z^-2'",
+        "member --sub commutant --k 2 --json 'x y x^-1 y^-1 z^-2'",
         "eq --group satellite --k 2 'x y x^-1 y^-1' 'z^2'",
     ]
     commands = tmp_path / "commands.txt"
@@ -619,7 +623,7 @@ def test_batch_builds_one_parser_per_call(argv, monkeypatch, capsys):
     # A batch call in a process that holds no parser yet builds one for all
     # its lines; a second call reuses it.
     builds = _count_builds(monkeypatch)
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli._parser.cache_clear()
     assert main(argv) == 0
     assert capsys.readouterr().out.count("\n") > 1
     assert len(builds) == 1
@@ -636,7 +640,7 @@ def test_one_parser_per_process(monkeypatch, capsys):
         (["-h"], 0),
     ]
     builds = _count_builds(monkeypatch)
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli._parser.cache_clear()
     for argv, code in calls:
         assert main(argv) == code
     assert capsys.readouterr().out.count("\n") > len(calls)
@@ -838,9 +842,9 @@ def test_reused_parser_matches_fresh_parser(order, tmp_path, monkeypatch):
     argvs = [shlex.split(line) for line in REUSE_LINES[::order]]
     fresh = []
     for argv in argvs:
-        monkeypatch.setattr(cli, "_PARSER", None)
+        cli._parser.cache_clear()
         fresh.append(_run_main(argv))
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli._parser.cache_clear()
     builds = _count_builds(monkeypatch)
     assert [_run_main(argv) for argv in argvs] == fresh
     assert len(builds) == 1
@@ -1145,3 +1149,88 @@ def test_fuzz_batch_keeps_contract(batch, json_flag):
             continue
         if "--json" in shlex.split(line):
             json.loads(result)
+
+
+# --- the satellite verbs against perfbench/reference.py ---------------------
+
+ref = load_reference()
+
+_SATELLITE_TOKEN = st.tuples(
+    st.sampled_from("xyz"),
+    st.one_of(
+        st.just(""),
+        st.integers(1, 9).flatmap(lambda n: st.sampled_from((f"^{n}", f"^-{n}", f"^+{n}"))),
+    ),
+).map("".join)
+
+
+def _loop_text(a, b, c, e):
+    """x^a y^b z^c x^-a y^-b z^e: a loop, so in N, whose cycle is the a x b
+    rectangle at level k plus c unit squares at (a, b) and e at the origin.
+    It lies in M when k divides c and e, in the commutant when k divides
+    c + e."""
+    return " ".join(f"{name}^{n}" for name, n in zip("xyzxyz", (a, b, c, -a, -b, e)) if n)
+
+
+# Drawn tokens, or a loop that lies in N and, at some levels, in M or the
+# commutant.
+_SATELLITE_WORD = st.one_of(
+    st.tuples(st.lists(_SATELLITE_TOKEN, max_size=8), st.sampled_from((" ", ".", " . "))).map(
+        lambda parts: parts[1].join(parts[0])
+    ),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda counts: _loop_text(*counts)
+    ),
+)
+
+
+@st.composite
+def _satellite_command(draw):
+    """A satellite eval, eq or member argv with --k -3..3, with or without
+    --json, and the stdout line and exit code the reference gives for it.
+    eq's second word is a drawn one, or the first times the relator
+    [x, y] z^-k, which is equal to it."""
+    k = draw(st.integers(-3, 3))
+    json_flag = draw(st.booleans())
+    verb = draw(st.sampled_from(("eval", "eq", "member")))
+    text = draw(_SATELLITE_WORD)
+    vec, cycle = ref.satellite(text, k)
+    flags = ["--k", str(k), *(["--json"] if json_flag else [])]
+    if verb == "eval":
+        argv = ["eval", "--group", "satellite", *flags, text]
+        if json_flag:
+            out = ref.dumps({"k": k, "vec": list(vec), "cycle": ref.flow_json(cycle)})
+        else:
+            out = f"k={k} vec={ref.fmt_vec(vec)} cycle={ref.fmt_flow(cycle)}"
+        return argv, out, 0
+    if verb == "eq":
+        relator = f"{text} x y x^-1 y^-1" + (f" z^{-k}" if k else "")
+        other = draw(st.one_of(_SATELLITE_WORD, st.just(relator)))
+        equal = ref.satellite(other, k) == (vec, cycle)
+        verdict = "equal" if equal else "unequal"
+        argv = ["eq", "--group", "satellite", *flags, text, other]
+        return argv, ref.dumps({"verdict": verdict}) if json_flag else verdict, 0 if equal else 1
+    sub = draw(st.sampled_from(SUBGROUPS))
+    member = ref.member(sub, vec, cycle, k)
+    argv = ["member", "--sub", sub, *flags, text]
+    return argv, ref.dumps({"member": member}) if json_flag else ("true" if member else "false"), 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_satellite_command())
+def test_satellite_verbs_match_reference(command):
+    argv, out, code = command
+    assert _run_main(argv) == (code, out + "\n", "")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_satellite_command(), min_size=1, max_size=8))
+def test_satellite_batch_lines_match_reference(commands):
+    # Each line twice: the second read of every word text is a warm one.
+    lines = [shlex.join(argv) for argv, _, _ in commands for _ in range(2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = _run_main(["batch", str(path)])
+    assert (code, err) == (0, "")
+    assert out.split("\n") == [line for _, line, _ in commands for _ in range(2)] + [""]

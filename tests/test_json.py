@@ -2,10 +2,8 @@
 each CLI answer's str() text against the benchmark's reference formatting,
 and the integer reading of the public constructors whose values they print."""
 
-import importlib.util
 import inspect
 import sys
-from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -39,20 +37,10 @@ from latticegroups import (
 from latticegroups.cli import _Endpoint
 from latticegroups.lattice import _vector
 from latticegroups.satellite import GENERATOR_NAMES, SatelliteElement, from_word, generator
-from helpers import reference_json
+from helpers import load_reference, reference_json
 
 
-def _load_reference():
-    """perfbench/reference.py, which computes and formats every answer
-    without importing latticegroups, loaded by its path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-ref = _load_reference()
+ref = load_reference()
 
 # Small and negative values, and values past 2^64.
 COEFFS = st.one_of(
