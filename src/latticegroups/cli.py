@@ -17,23 +17,17 @@ import re
 import sys
 
 from .cocycles import Cocycle, _rectangle_edges, canonical_cocycle, cocycle_index
-from .homology import NotACycleError, algebraic_area, decompose_cycle, plaquette_sum_from_json
+from .homology import algebraic_area, decompose_cycle, plaquette_sum_from_json
 from .lattice import _json_ints, _vec_text, abelian_image, evaluate_path
 from .metabelian import MetabelianElement, fox_image
 from .nilpotent import HeisenbergElement
-from .words import (
-    InputTooLargeError,
-    RankMismatchError,
-    WordSyntaxError,
-    equal_images,
-    parse_named_word,
-    parse_word,
-)
+from .words import InputTooLargeError, equal_images, parse_named_word, parse_word
 from . import satellite, words
 
 SUBGROUPS = ("N", "M", "commutant")
 
-_ERRORS = (WordSyntaxError, RankMismatchError, NotACycleError, ValueError, OSError)
+# Every error the package raises is a ValueError.
+_ERRORS = (ValueError, OSError)
 
 
 def _dumps(obj) -> str:
@@ -93,7 +87,7 @@ REGISTRY = {
     "metabelian": (_parse_folded, lambda word, args: MetabelianElement.from_word(word)),
     "satellite": (
         lambda text, args: parse_named_word(text, satellite.GENERATOR_NAMES),
-        lambda word, args: satellite.from_word(word.letters, args.k),
+        lambda word, args: satellite.from_word(word, args.k),
     ),
 }
 
@@ -457,28 +451,24 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     if not argv or argv[0] not in verbs:
         return None
     options, positionals, required, defaults, negative = verbs[argv[0]][1]
-
-    def argument(token: str) -> bool:
-        return not token.startswith("-") or (negative is not None and negative.match(token) is not None)
-
     args = dict(defaults, verb=argv[0])
     seen, free, values = set(), [], []
     tokens = iter(argv[1:])
     for token in tokens:
-        if argument(token):
-            free.append(token)
-            continue
         action = options.get(token)
+        if action is not None:
+            seen.add(action)
+            if action.nargs == 0:
+                args[action.dest] = action.const
+                continue
+            token = next(tokens, "-")  # a missing value reads as "-", refused below
+        # A positional or a value: not led by "-", or a negative number.
+        if token.startswith("-") and (negative is None or negative.match(token) is None):
+            return None
         if action is None:
-            return None
-        seen.add(action)
-        if action.nargs == 0:
-            args[action.dest] = action.const
-            continue
-        token = next(tokens, None)
-        if token is None or not argument(token):
-            return None
-        values.append((action, token))
+            free.append(token)
+        else:
+            values.append((action, token))
     if len(free) != len(positionals) or not seen.issuperset(required):
         return None
     # Each value through its action's own type and choices, as argparse reads it.

@@ -20,6 +20,7 @@ from .lattice import (
     _accumulate,
     _json_ints_template,
     _json_rows,
+    _rows,
     _vec_text,
     _vector,
     basis_vector,
@@ -117,7 +118,7 @@ class PlaquetteSum(Chain):
 
     def __str__(self) -> str:
         """The human text of the sorted entries: ``[(x, y):(i,j):+m, ...]``."""
-        return "[" + ", ".join(self._rows(_vec_text(["%d"] * self.d) + ":(%d,%d):%+d")) + "]"
+        return "[" + ", ".join(_rows(_vec_text(["%d"] * self.d) + ":(%d,%d):%+d", self._entries)) + "]"
 
 
 def decompose_cycle(flow: EdgeFlow) -> PlaquetteSum:

@@ -108,6 +108,11 @@ def _vec_text(values) -> str:
     return "(" + ", ".join(map(str, values)) + ")"
 
 
+def _rows(row: str, entries: dict) -> list[str]:
+    """``row % (*key, value)`` for each entry, sorted on the keys."""
+    return [row % (*key, entries[key]) for key in sorted(entries)]
+
+
 def _accumulate(entries: dict, key, coeff: int) -> None:
     # Keeps the support exact: a zero total removes the key outright.
     if coeff == 0:
@@ -171,11 +176,6 @@ class Chain:
         entries, view = self._entries, self._view
         return [(view(key), entries[key]) for key in sorted(entries)]
 
-    def _rows(self, row: str) -> list[str]:
-        """``row % (*key, coeff)`` for each entry, sorted on the flat keys."""
-        entries = self._entries
-        return [row % (*key, entries[key]) for key in sorted(entries)]
-
     def translate(self, v: Vector):
         """The chain moved by the vector ``v``."""
         return self._translated(_vector(v, self.d))
@@ -195,29 +195,22 @@ class Chain:
         one hook to pass on what such results keep."""
         return self._of(self.d, entries)
 
-    def _check_rank(self, other: "Chain") -> None:
-        if self.d != other.d:
-            raise RankMismatchError(
-                f"{type(self).__name__} ranks differ: {self.d} vs {other.d}"
-            )
-
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """``self + sign * other``. ``-`` runs this body with ``sign`` -1, and
+        ``+`` runs it with no call in between."""
         if type(other) is not type(self):
             return NotImplemented
-        self._check_rank(other)
+        if self.d != other.d:
+            raise RankMismatchError(f"{type(self).__name__} ranks differ: {self.d} vs {other.d}")
         entries = dict(self._entries)
         for key, coeff in other._entries.items():
-            _accumulate(entries, key, coeff)
+            _accumulate(entries, key, sign * coeff)
         return self._like(entries, other)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check_rank(other)
-        entries = dict(self._entries)
-        for key, coeff in other._entries.items():
-            _accumulate(entries, key, -coeff)
-        return self._like(entries, other)
+        # Through Chain, not self: a traced EdgeFlow.__add__ would count a
+        # difference as a second flow operation.
+        return Chain.__add__(self, other, -1)
 
     def __neg__(self):
         return self._like({key: -coeff for key, coeff in self._entries.items()})
@@ -334,7 +327,7 @@ class EdgeFlow(Chain):
 
     def __str__(self) -> str:
         """The human text of the sorted entries: ``[(x, y):axis:+m, ...]``."""
-        return "[" + ", ".join(self._rows(_vec_text(["%d"] * self.d) + ":%d:%+d")) + "]"
+        return "[" + ", ".join(_rows(_vec_text(["%d"] * self.d) + ":%d:%+d", self._entries)) + "]"
 
 
 class _PathFields(NamedTuple):
@@ -354,7 +347,7 @@ class PathEvaluation(_PathFields):
         return '{"endpoint":' + _json_ints(self.endpoint) + ',"flow":' + self.flow.as_json() + "}"
 
 
-def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> PathEvaluation:
+def evaluate_letters(letters: Word | Iterable[Letter | tuple[int, int]], d: int) -> PathEvaluation:
     """Trace unit steps from the origin, one per letter.
 
     Each positive letter adds +1 to the edge it walks along; each negative
@@ -382,7 +375,7 @@ def evaluate_letters(letters: Iterable[Letter | tuple[int, int]], d: int) -> Pat
 
 
 def evaluate_path(word: Word) -> PathEvaluation:
-    return evaluate_letters(word.letters, word.d)
+    return evaluate_letters(word, word.d)
 
 
 def abelian_image(word: Word) -> Vector:

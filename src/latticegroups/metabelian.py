@@ -19,11 +19,13 @@ from .cocycles import _monomial_flow, monomial_word
 from .homology import Plaquette
 from .lattice import (
     EdgeFlow,
+    PathEvaluation,
     Vector,
     _drop_zeros,
     _json_ints,
     _json_ints_template,
     _json_rows,
+    _rows,
     _vec_text,
     _vector,
     evaluate_path,
@@ -89,8 +91,8 @@ class MetabelianElement(GroupElement):
     def __repr__(self) -> str:
         return f"MetabelianElement(endpoint={self.endpoint}, flow={self.flow!r})"
 
-    def as_json(self) -> str:
-        return '{"endpoint":' + _json_ints(self.endpoint) + ',"flow":' + self.flow.as_json() + "}"
+    # The document of the word's path: endpoint and flow.
+    as_json = PathEvaluation.as_json
 
     def __str__(self) -> str:
         return f"endpoint={_vec_text(self.endpoint)} flow={self.flow}"
@@ -161,10 +163,9 @@ class FoxImage(_FoxFields):
 
     def __str__(self) -> str:
         """The human text: ``monomial=(...) d1=[(x, y):+c, ...]; d2=[...]``."""
+        row = _vec_text(["%d"] * len(self.monomial)) + ":%+d"
         components = "; ".join(
-            f"d{axis}=["
-            + ", ".join(f"{_vec_text(point)}:{component[point]:+d}" for point in sorted(component))
-            + "]"
+            f"d{axis}=[" + ", ".join(_rows(row, component)) + "]"
             for axis, component in enumerate(self.derivatives, 1)
         )
         return f"monomial={_vec_text(self.monomial)} {components}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import index
 from typing import Mapping
 
-from .lattice import Vector, _accumulate, _drop_zeros, _json_ints, _vec_text, _vector, vec_add, vec_neg
+from .lattice import Vector, _accumulate, _drop_zeros, _json_ints, _rows, _vec_text, _vector, vec_add, vec_neg
 from .words import GroupElement, RankMismatchError, Word
 
 
@@ -99,11 +99,11 @@ class HeisenbergElement(GroupElement):
     def as_json(self) -> str:
         """The canonical JSON text:
         ``{"areas":[{"i":i,"j":j,"value":v},...],"endpoint":[...]}``."""
-        rows = ['{"i":%d,"j":%d,"value":%d}' % (i, j, value) for (i, j), value in self.areas()]
+        rows = _rows('{"i":%d,"j":%d,"value":%d}', self._areas)
         return '{"areas":[' + ",".join(rows) + '],"endpoint":' + _json_ints(self.endpoint) + "}"
 
     def __str__(self) -> str:
-        areas = ", ".join(f"({i},{j}):{value:+d}" for (i, j), value in self.areas())
+        areas = ", ".join(_rows("(%d,%d):%+d", self._areas))
         return f"endpoint={_vec_text(self.endpoint)} areas=[{areas}]"
 
 

@@ -135,7 +135,11 @@ class GroupElement:
 def _checked_letters(letters: Iterable, d: int) -> tuple:
     """The letters as a tuple, once each distinct one has passed the letter
     check, in order of first appearance: its axis must be in 1..d and its
-    sign +1 or -1. So the first bad letter is the one reported."""
+    sign +1 or -1. So the first bad letter is the one reported. A Word of
+    rank at most d was checked when it was made: its letters are returned
+    as they are."""
+    if isinstance(letters, Word) and letters.d <= d:
+        return letters.letters
     letters = tuple(letters)
     for axis, sign in dict.fromkeys(letters):
         if not 1 <= axis <= d:

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from latticegroups import MetabelianElement, cli, lattice, parse_word, words
+import latticegroups
+from latticegroups import MetabelianElement, Word, cli, lattice, parse_word, satellite, words
 from latticegroups.cli import REGISTRY, SUBGROUPS, main
 from helpers import load_reference
 
@@ -579,6 +580,48 @@ def test_rank_guard_via_cli(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_package_errors_are_value_errors():
+    # cli._ERRORS names ValueError for all of them.
+    errors = [
+        value
+        for value in map(vars(latticegroups).__getitem__, latticegroups.__all__)
+        if isinstance(value, type) and issubclass(value, BaseException)
+    ]
+    assert len(errors) >= 4
+    assert all(issubclass(error, ValueError) for error in errors), errors
+
+
+def test_folds_take_the_checked_word(tmp_path, monkeypatch, capsys):
+    # A Word read once reaches the letter check itself, which passes it through.
+    received = []
+    checked_letters = words._checked_letters
+
+    def spy(letters, d):
+        received.append(letters)
+        return checked_letters(letters, d)
+
+    monkeypatch.setattr(lattice, "_checked_letters", spy)
+    monkeypatch.setattr(satellite, "_checked_letters", spy)
+    word = parse_word("x1 x2^3 x1^-1", 2)
+    lattice.evaluate_path(word)
+    assert len(received) == 1 and received[0] is word
+    lines = [
+        ["eval", "--group", "satellite", "--k", "2", "x y^2 z"],
+        ["eq", "--group", "satellite", "x y", "y x z"],
+        ["member", "--sub", "M", "x y x^-1 y^-1"],
+    ]
+    for argv in lines:
+        received.clear()
+        main(argv)
+        assert received and all(type(letters) is Word for letters in received), argv
+    received.clear()
+    path = tmp_path / "lines.txt"
+    path.write_text("\n".join(map(shlex.join, lines)) + "\n", encoding="utf-8")
+    assert main(["batch", str(path)]) == 0
+    assert len(received) >= 4 and all(type(letters) is Word for letters in received)
+    capsys.readouterr()
+
+
 def test_thin_adapter_matches_module(capsys):
     word = "x1^2 x2 x1^-2 x2^-1"
     elem = MetabelianElement.from_word(parse_word(word, 2))
@@ -738,6 +781,23 @@ def _parse_outcome(parse, argv):
 def test_parse_matches_full_parser(argv):
     parser, _ = cli._parser()
     assert _parse_outcome(cli._parse, argv) == _parse_outcome(parser.parse_args, argv)
+
+
+def test_fast_read_takes_only_negative_numbers_led_by_dash():
+    # A "-"-led value or positional that is no negative number, or a missing
+    # value, is left to argparse.
+    parser, _ = cli._parser()
+    for argv in (
+        ["beta", "--perturb", "-x"],
+        ["eval", "--group", "free", "--d", "-1_0", "x1"],
+        ["reduce", "--d", "2", "-x1"],
+        ["member", "--sub", "M", "--k"],
+        ["cocycle", "-1,3", "-"],
+    ):
+        assert cli._read_argv(argv) is None, argv
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(parser.parse_args, argv)
+    for argv in (["beta", "--k", "-2"], ["cocycle", "-1,3", "2,-0"], ["eval", "--group", "free", "--d", "-3", "x1"]):
+        assert cli._read_argv(argv) == _parse_outcome(parser.parse_args, argv)[0], argv
 
 
 # Each verb's options; "frobnicate" is no verb.

@@ -27,7 +27,7 @@ from latticegroups import (
     plaquette_boundary,
     satellite,
 )
-from latticegroups import lattice
+from latticegroups import lattice, words
 from helpers import flow_of, random_loop_flow, random_loop_word, random_word, w
 
 
@@ -89,6 +89,23 @@ class TestEvaluate:
                 with pytest.raises(ValueError) as caught:
                     caller(letters)
                 assert (type(caught.value), str(caught.value)) == expected
+
+    def test_checked_word_passes_through(self):
+        # A Word was checked when it was made: at its rank or above, its
+        # letters are taken as they are; below it, they are checked again.
+        word = Word([(1, 1), (2, -1), (1, 1)], 2)
+        for d in (2, 3, 5):
+            assert words._checked_letters(word, d) is word.letters
+        assert words._checked_letters(Word([(1, 1)], 4), 3) == ((1, 1),)
+        wide = Word([(1, 1), (4, 1), (2, -1)], 4)
+        for caller in (
+            lambda: Word(wide, 3),
+            lambda: evaluate_letters(wide, 3),
+            lambda: satellite.from_word(wide, 1),
+        ):
+            with pytest.raises(WordSyntaxError) as caught:
+                caller()
+            assert str(caught.value) == "generator index 4 out of range 1..3"
 
     def test_letters_must_be_hashable(self):
         for call in (lambda: evaluate_letters([[1, 1]], 2), lambda: satellite.from_word([[1, 1]], 1)):
