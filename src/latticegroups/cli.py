@@ -12,7 +12,6 @@ import argparse
 import functools
 import gc
 import io
-import json
 import re
 import sys
 
@@ -31,9 +30,17 @@ _ERRORS = (ValueError, OSError)
 
 
 def _dumps(obj) -> str:
-    """Canonical JSON text of a small fixed document; the large answers
-    write their own through ``as_json``."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON text of a one-field document: ``{"verdict": ...}``,
+    ``{"area": n}``, ``{"beta": n}`` or ``{"member": b}``, written as
+    ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` writes it.
+    A verdict is "equal" or "unequal", so no string needs escaping; the
+    large answers write their own through ``as_json``."""
+    ((key, value),) = obj.items()
+    if type(value) is bool:
+        value = "true" if value else "false"
+    elif type(value) is str:
+        value = '"%s"' % value
+    return '{"%s":%s}' % (key, value)
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -137,6 +144,10 @@ def _int_list(value) -> bool:
 
 
 def _load_perturbation(path: str) -> list:
+    # Imported here, not at module level: this is the one JSON input the
+    # package reads, so no other CLI launch pays for loading it.
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -480,7 +491,9 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
             args[action.dest] = value
     except (ValueError, TypeError, argparse.ArgumentTypeError):
         return None
-    return argparse.Namespace(**args)
+    namespace = argparse.Namespace()
+    namespace.__dict__ = args
+    return namespace
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

@@ -68,12 +68,13 @@ def plaquette_boundary(p: Plaquette) -> EdgeFlow:
 
 def _boundary_edges(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The four signed flat edge keys of :func:`plaquette_boundary`, for the
-    flat plaquette key ``(*base, i, j)``."""
+    flat plaquette key ``(*base, i, j)``. The two shifted bases are sliced
+    out of the key, so no vector is built to add."""
     base, i, j = key[:-2], key[-2], key[-1]
     return (
         ((*base, i), 1),
-        ((*vec_add(base, basis_vector(len(base), i)), j), 1),
-        ((*vec_add(base, basis_vector(len(base), j)), i), -1),
+        ((*base[: i - 1], base[i - 1] + 1, *base[i:], j), 1),
+        ((*base[: j - 1], base[j - 1] + 1, *base[j:], i), -1),
         ((*base, j), -1),
     )
 

@@ -133,17 +133,21 @@ def from_word(word: str | Iterable[Letter], k: int) -> SatelliteElement:
     ``c(v, 0) = 0``. So for endpoint v the cycle part is
     ``k (flow(w_xy) - m(v))`` plus ``+-T_p`` of the unit plaquette boundary
     for each z^+-1 read at position p, where ``w_xy`` is the word with its
-    z letters deleted. Its cost is linear in the word.
+    z letters deleted. The z letters are counted per position as they are
+    read, and each position's boundary is added once, times its net count.
+    Its cost is linear in the word.
     """
     letters = parse_letters(word, GENERATOR_NAMES) if isinstance(word, str) else _checked_letters(word, 3)
     k = index(k)
     position = [0, 0]
     entries: dict[tuple[int, int, int], int] = {}
     get = entries.get
+    # The net count of z letters read at each position, by plaquette key.
+    plaquettes: dict[tuple[int, int, int, int], int] = {}
     for axis, sign in letters:
         if axis == 3:
-            for edge, edge_sign in _boundary_edges((*position, 1, 2)):
-                entries[edge] = get(edge, 0) + sign * edge_sign
+            plaquette = (*position, 1, 2)
+            plaquettes[plaquette] = plaquettes.get(plaquette, 0) + sign
         elif sign > 0:
             key = (*position, axis)
             entries[key] = get(key, 0) + k
@@ -152,6 +156,9 @@ def from_word(word: str | Iterable[Letter], k: int) -> SatelliteElement:
             position[axis - 1] -= 1
             key = (*position, axis)
             entries[key] = get(key, 0) - k
+    for plaquette, count in plaquettes.items():
+        for edge, edge_sign in _boundary_edges(plaquette):
+            entries[edge] = get(edge, 0) + count * edge_sign
     end = tuple(position)
     for edge, coeff in _monomial_flow(end)._entries.items():
         entries[edge] = get(edge, 0) - k * coeff

@@ -561,6 +561,25 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"verdict": "equal"},
+        {"verdict": "unequal"},
+        {"area": 0},
+        {"area": -12},
+        {"area": 10**29 + 7},
+        {"area": -(10**29)},
+        {"beta": -3},
+        {"beta": 2},
+        {"member": True},
+        {"member": False},
+    ],
+)
+def test_small_documents_match_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def test_eq_error_exit_code(capsys):
     assert main(["eq", "--group", "metabelian", "--d", "2", "x1", "y1"]) == 2
     captured = capsys.readouterr()

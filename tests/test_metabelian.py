@@ -134,15 +134,18 @@ class TestPlaquetteElements:
         assert plaquette_element(p) == MetabelianElement((0, 0), plaquette_boundary(p))
 
     def test_endpoint_always_zero(self):
+        # Every plane (i, j) of every rank up to 5: the boundary's shifted
+        # edges are sliced at slots i and j of the base, and the walked loop
+        # pins both slots.
         rng = random.Random(83)
-        for _ in range(25):
-            d = rng.choice((2, 3, 4))
-            i = rng.randint(1, d - 1)
-            j = rng.randint(i + 1, d)
-            base = tuple(rng.randint(-4, 4) for _ in range(d))
-            elem = plaquette_element(Plaquette(base, i, j))
-            assert elem.endpoint == (0,) * d
-            assert elem.flow == plaquette_boundary(Plaquette(base, i, j))
+        for d in (2, 3, 4, 5):
+            for i in range(1, d):
+                for j in range(i + 1, d + 1):
+                    for _ in range(3):
+                        base = tuple(rng.randint(-4, 4) for _ in range(d))
+                        elem = plaquette_element(Plaquette(base, i, j))
+                        assert elem.endpoint == (0,) * d
+                        assert elem.flow == plaquette_boundary(Plaquette(base, i, j))
 
     def test_pair_element_examples(self):
         assert pair_element((1, 0), Plaquette((0, 0), 1, 2)) == MetabelianElement.from_word(

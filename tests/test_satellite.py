@@ -169,6 +169,29 @@ class TestTelescopedFold:
             letters = random_letters(rng, 3, rng.randint(0, 40))
             assert from_word(letters, k) == product_fold(letters, k)
 
+    def test_z_heavy_letters_match_product_fold(self):
+        # The z letters of one position are added as one boundary, times
+        # their net count: z^n at one point, z z^-1 cancelling at one point,
+        # and z letters spread over many points.
+        rng = random.Random(61)
+        z, z_inv = Letter(3, 1), Letter(3, -1)
+        for _ in range(40):
+            k = rng.randint(-4, 4)
+            lead = random_letters(rng, 2, rng.randint(0, 8))
+            tail = random_letters(rng, 2, rng.randint(0, 8))
+            n = rng.randint(1, 9)
+            power = [z if rng.random() < 0.5 else z_inv] * n
+            cancelling = [z, z_inv] * rng.randint(1, 4)
+            rng.shuffle(cancelling)
+            spread = [
+                rng.choice((z, z_inv)) if rng.random() < 0.5 else step
+                for step in random_letters(rng, 2, 30)
+            ]
+            for letters in (lead + power + tail, lead + cancelling + tail, lead + spread + tail):
+                assert from_word(letters, k) == product_fold(letters, k)
+        assert from_word("x z^5 y", 2).cycle == 5 * plaquette_boundary(Plaquette((1, 0), 1, 2))
+        assert from_word("x z z^-1 z^-1 z y^-1", 0) == from_word("x y^-1", 0)
+
     def test_long_commutator_costs_no_products(self, monkeypatch):
         def refuse(self, other):
             raise AssertionError("from_word multiplied")
