@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from itertools import compress, repeat
+from itertools import compress
 from operator import add, index, not_
 from typing import Iterable, Mapping, NamedTuple
 
@@ -61,11 +61,20 @@ def _json_ints(values) -> str:
 
 
 class _IntTexts(dict):
-    """Decimal texts of ints: a stored text for each int the table was built
-    with, and ``str()`` of any other, which is not stored."""
+    """Decimal texts of ints, each followed by ``suffix``: filled on first
+    use, and only with ints in -_TEXT_MAX.._TEXT_MAX, so a table holds at
+    most 2 * _TEXT_MAX + 1 texts whatever it is asked for."""
 
-    __slots__ = ()
-    __missing__ = str
+    __slots__ = ("suffix",)
+
+    def __init__(self, suffix: str):
+        self.suffix = suffix
+
+    def __missing__(self, n: int) -> str:
+        text = str(n) + self.suffix
+        if -_TEXT_MAX <= n <= _TEXT_MAX:
+            self[n] = text
+        return text
 
 
 # Coordinates and coefficients of the long answers are mostly small: a d = 3
@@ -73,11 +82,8 @@ class _IntTexts(dict):
 _TEXT_MAX = 512
 
 
-@functools.cache
-def _int_texts() -> _IntTexts:
-    """The process's table of the texts of -_TEXT_MAX.._TEXT_MAX, built on
-    first use, not at import, which each CLI launch pays for."""
-    return _IntTexts({n: str(n) for n in range(-_TEXT_MAX, _TEXT_MAX + 1)})
+# The process's table of int texts for each distinct suffix of a row template.
+_int_texts = functools.cache(_IntTexts)
 
 
 # Fewer rows than this are written with one % each: below it, setting up the
@@ -89,18 +95,16 @@ def _json_rows(row: str, columns, rows: int) -> str:
     """The JSON array of ``rows`` rows, each ``row`` with its ``%d`` fields
     filled in order from ``columns``: field c of row r is ``columns[c][r]``.
 
-    From _JOINED_ROWS rows on, each row is joined in C from the fixed texts
-    between its fields and the texts of its ints, read from
-    :func:`_int_texts`; ``%`` per row would parse its template and format
-    every int anew."""
+    From _JOINED_ROWS rows on, each row is joined in C from one text per
+    field: the field's int followed by the fixed text up to the next field,
+    read from the table :func:`_int_texts` keeps for that fixed text. The
+    text before the first field joins the rows. ``%`` per row would parse
+    its template and format every int anew."""
     if rows < _JOINED_ROWS:
         return "[" + ",".join(map(row.__mod__, zip(*columns))) + "]"
-    text = _int_texts().__getitem__
-    pieces = row.split("%d")
-    parts = [repeat(pieces[0])]
-    for column, piece in zip(columns, pieces[1:]):
-        parts += (map(text, column), repeat(piece))
-    return "[" + ",".join(map("".join, zip(*parts))) + "]"
+    head, *suffixes = row.split("%d")
+    parts = [map(_int_texts(suffix).__getitem__, column) for column, suffix in zip(columns, suffixes)]
+    return "[" + head + ("," + head).join(map("".join, zip(*parts))) + "]"
 
 
 def _vec_text(values) -> str:

@@ -12,7 +12,7 @@ the word's path through the flow fold.
 
 from __future__ import annotations
 
-from operator import index
+from operator import add, index
 from typing import NamedTuple
 
 from .cocycles import _monomial_flow, monomial_word
@@ -29,7 +29,6 @@ from .lattice import (
     _vec_text,
     _vector,
     evaluate_path,
-    vec_add,
     vec_neg,
 )
 from .words import GroupElement, Letter, RankMismatchError, Word, commutator, equal_images
@@ -76,14 +75,15 @@ class MetabelianElement(GroupElement):
             return NotImplemented
         if self.d != other.d:
             raise RankMismatchError(f"element ranks differ: {self.d} vs {other.d}")
+        # The endpoints are ints of one rank already: neither is read again.
         return MetabelianElement._of(
-            vec_add(self.endpoint, other.endpoint),
-            self.flow + other.flow.translate(self.endpoint),
+            tuple(map(add, self.endpoint, other.endpoint)),
+            self.flow + other.flow._translated(self.endpoint),
         )
 
     def inverse(self) -> "MetabelianElement":
         back = vec_neg(self.endpoint)
-        return MetabelianElement._of(back, -self.flow.translate(back))
+        return MetabelianElement._of(back, -self.flow._translated(back))
 
     def is_identity(self) -> bool:
         return not self.flow and all(coord == 0 for coord in self.endpoint)

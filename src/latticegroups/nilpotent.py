@@ -8,10 +8,11 @@ coordinate-plane projections of the path.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import index
 from typing import Mapping
 
-from .lattice import Vector, _accumulate, _drop_zeros, _json_ints, _rows, _vec_text, _vector, vec_add, vec_neg
+from .lattice import Vector, _accumulate, _json_ints, _rows, _vec_text, _vector, vec_add, vec_neg
 from .words import GroupElement, RankMismatchError, Word
 
 
@@ -48,24 +49,28 @@ class HeisenbergElement(GroupElement):
     @classmethod
     def from_word(cls, word: Word) -> "HeisenbergElement":
         """Fold unit steps: a step of sign s along axis j adds v_i * s to every
-        area entry (i, j) with i < j, at the pre-step position v. Areas that
-        return to zero are dropped once, at the end."""
+        area entry (i, j) with i < j, at the pre-step position v.
+
+        The running areas are a list with one slot per pair (i, j) of the
+        word's own axes, so a letter hashes no key; the dict of the nonzero
+        slots is built once, at the end."""
         position = [0] * word.d
-        areas: dict[tuple[int, int], int] = {}
-        get = areas.get
-        # For each axis j of the word, the pairs (i - 1, (i, j)) for the
-        # word's own axes i < j, built once per call: a letter does no index
-        # arithmetic, and reads no coordinate the path never moves along.
+        # For each axis j of the word, the pairs (i - 1, slot of (i, j)) for
+        # the word's own axes i < j, built once per call: a letter does no
+        # index arithmetic, and reads no coordinate the path never moves along.
         pairs: dict[int, list] = {}
+        slots = 0
         for axis in sorted({axis for axis, _ in dict.fromkeys(word.letters)}):
-            pairs[axis] = [(i - 1, (i, axis)) for i in pairs]
+            pairs[axis] = [(i - 1, slot) for slot, i in enumerate(pairs, slots)]
+            slots += len(pairs[axis])
+        running = [0] * slots
         for axis, sign in word.letters:
-            for at, key in pairs[axis]:
-                if position[at]:
-                    areas[key] = get(key, 0) + position[at] * sign
+            for at, slot in pairs[axis]:
+                running[slot] += position[at] * sign
             position[axis - 1] += sign
-        _drop_zeros(areas)
-        return cls._of(tuple(position), areas)
+        # Slots were assigned in the order of the pairs, so this reads their keys.
+        keys = ((at + 1, axis) for axis, row in pairs.items() for at, _ in row)
+        return cls._of(tuple(position), dict(compress(zip(keys, running), running)))
 
     def area(self, i: int, j: int) -> int:
         return self._areas.get((i, j), 0)

@@ -8,10 +8,10 @@ metabelian group on two generators; level 0 is the split extension.
 
 from __future__ import annotations
 
-from operator import index
+from operator import add, index
 from typing import Iterable
 
-from .cocycles import _monomial_flow, canonical_cocycle
+from .cocycles import _canonical_cocycle, _monomial_flow
 from .homology import (
     NotACycleError,
     Plaquette,
@@ -20,7 +20,7 @@ from .homology import (
     algebraic_area,
     plaquette_boundary,
 )
-from .lattice import EdgeFlow, Vector, _drop_zeros, _json_ints, _vec_text, _vector, vec_add, vec_neg
+from .lattice import EdgeFlow, Vector, _drop_zeros, _json_ints, _vec_text, _vector, vec_neg
 from .words import (
     GroupElement,
     Letter,
@@ -65,17 +65,18 @@ class SatelliteElement(GroupElement):
             return NotImplemented
         if self.k != other.k:
             raise ValueError(f"level mismatch: {self.k} vs {other.k}")
-        twist = canonical_cocycle(self.vec, other.vec) * self.k
+        # Both vectors are int pairs already: neither is read again.
+        twist = _canonical_cocycle(self.vec, other.vec) * self.k
         return SatelliteElement._of(
             self.k,
-            vec_add(self.vec, other.vec),
-            self.cycle + other.cycle.translate(self.vec) + twist,
+            tuple(map(add, self.vec, other.vec)),
+            self.cycle + other.cycle._translated(self.vec) + twist,
         )
 
     def inverse(self) -> "SatelliteElement":
         back = vec_neg(self.vec)
-        twist = canonical_cocycle(self.vec, back) * self.k
-        return SatelliteElement._of(self.k, back, -((self.cycle + twist).translate(back)))
+        twist = _canonical_cocycle(self.vec, back) * self.k
+        return SatelliteElement._of(self.k, back, -((self.cycle + twist)._translated(back)))
 
     def is_identity(self) -> bool:
         return self.vec == (0, 0) and not self.cycle

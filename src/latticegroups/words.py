@@ -279,9 +279,14 @@ def equal_images(fold: Callable[[Word], object], u: Word, v: Word) -> bool:
 
     That holds exactly when it maps ``u^-1 v`` to the image of the empty
     word. Free reduction of ``u^-1 v`` cancels the prefix the two words
-    share, so ``fold`` reads only where they differ.
+    share, so only their unshared tails, found in C, are inverted and
+    multiplied, and ``fold`` reads only where they differ. The tails start
+    with different letters, so nothing cancels at their junction.
     """
-    return fold(~u * v) == fold(Word._of((), u.d))
+    left, right = u.letters, v.letters
+    shared = next(compress(count(), map(ne, left, right)), min(len(left), len(right)))
+    quotient = ~Word._of(left[shared:], u.d) * Word._of(right[shared:], v.d)
+    return fold(quotient) == fold(Word._of((), u.d))
 
 
 _INT_RE = re.compile(r"[+-]?\d+")

@@ -2,8 +2,10 @@
 each CLI answer's str() text against the benchmark's reference formatting,
 and the integer reading of the public constructors whose values they print."""
 
+import gc
 import inspect
 import sys
+from itertools import count
 from types import MappingProxyType
 
 import pytest
@@ -34,6 +36,7 @@ from latticegroups import (
     plaquette_boundary,
     plaquette_sum_from_json,
 )
+from latticegroups import lattice
 from latticegroups.cli import _Endpoint
 from latticegroups.lattice import _vector
 from latticegroups.satellite import GENERATOR_NAMES, SatelliteElement, from_word, generator
@@ -200,6 +203,54 @@ def test_writers_on_both_sides_of_the_int_table(value):
     assert value.as_json() == reference_json(value)
     if not isinstance(value, PlaquetteSum):
         assert str(value) == TEXT_REFERENCE[type(value)](value)
+
+
+# Ints just inside and just outside the writers' table of texts, and far past it.
+SIDES = (-(2**70), -1025, -513, -512, -1, 0, 1, 511, 512, 513, 1025, 2**70)
+
+
+def _both_sides(d):
+    """At least 16 distinct points of rank d, each with a nonzero value:
+    across the rows, every coordinate and the value take ints inside and
+    outside -512..512."""
+    rows = {}
+    for n in range(36):
+        scale = 2 * (n // len(SIDES)) + 1
+        *point, value = (SIDES[(n + t) % len(SIDES)] * scale for t in range(d + 1))
+        rows[tuple(point)] = value or 7
+    for column in zip(*(point + (value,) for point, value in rows.items())):
+        assert any(abs(n) <= 512 for n in column) and any(abs(n) > 512 for n in column)
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_joined_rows_match_json_dumps_on_both_sides_of_every_table(d):
+    rows = _both_sides(d)
+    planes = [(i, j) for j in range(2, d + 1) for i in range(1, j)]
+    entries = list(zip(count(), rows, rows.values()))
+    flow = EdgeFlow(d, {(point, 1 + n % d): value for n, point, value in entries})
+    values = [flow, MetabelianElement._of(next(iter(rows)), flow), FoxImage(next(iter(rows)), [rows] * d)]
+    if d > 1:
+        values.append(PlaquetteSum(d, {(point, *planes[n % len(planes)]): value for n, point, value in entries}))
+    for value in values:
+        assert value.as_json() == reference_json(value)
+    assert len(flow) == len(values[2].derivatives[0]) == len(rows) >= 16
+
+
+def test_int_text_tables_fill_lazily_and_stay_bounded():
+    lattice._int_texts.cache_clear()
+    # 10^4 distinct ints past the table on every column but the axis, and
+    # the 40 ints of -20..19: only those are kept, each in each table it met.
+    flow = EdgeFlow(2, {((n, -n), 1): 3 * n for n in range(lattice._TEXT_MAX + 1, lattice._TEXT_MAX + 10_001)})
+    small = EdgeFlow(2, {((n, -n), 2): n or 40 for n in range(-20, 20)})
+    for value in (flow, small, flow + small):
+        assert value.as_json() == reference_json(value)
+    tables = [table for table in gc.get_objects() if type(table) is lattice._IntTexts]
+    assert len(tables) == 4  # after the axis, each base coordinate, the mult
+    for table in tables:
+        assert len(table) <= 2 * lattice._TEXT_MAX + 1
+        assert all(abs(n) <= lattice._TEXT_MAX and text == str(n) + table.suffix for n, text in table.items())
+    assert sorted(len(table) for table in tables) == [2, 40, 40, 40]
 
 
 def test_empty_values():

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from latticegroups import (
     HeisenbergElement,
+    Letter,
     RankMismatchError,
     Word,
     algebraic_area,
@@ -147,6 +150,53 @@ def test_areas_that_return_to_zero_leave_no_key(words):
     word = u * commutator(commutator(a, b), commutator(c, e)) * ~u
     elem = HeisenbergElement.from_word(word)
     assert elem.is_identity() and elem.areas() == [] and line_integral_areas(word) == {}
+
+
+def _letter_image(letter, d):
+    axis, sign = letter
+    return HeisenbergElement(tuple(sign if at == axis else 0 for at in range(1, d + 1)))
+
+
+@st.composite
+def words_over_axes(draw):
+    """A word of rank 1..6 over a drawn set of its axes, and with it, the word
+    times a double commutator over the same axes: the second path's areas
+    rise and fall back to the first's."""
+    d = draw(st.integers(1, 6))
+    axes = sorted(draw(st.sets(st.integers(1, d), min_size=1)))
+    letters = st.lists(st.tuples(st.sampled_from(axes), st.sampled_from((1, -1))), max_size=20)
+    word, a, b, c = (Word(draw(letters), d) for _ in range(4))
+    return word, word * commutator(commutator(a, b), c)
+
+
+@given(words_over_axes())
+@example((Word([(5, 1), (2, 1), (5, -1), (2, -1)], 6), Word([(5, 1), (2, 1), (5, -1), (2, -1)], 6)))
+def test_slot_fold_is_the_product_of_its_letters(words):
+    # The fold keeps one running slot per pair of the word's own axes; it
+    # must be the group product of the word's letters, one by one, with no
+    # zero area left behind.
+    word, cancelling = words
+    for each in words:
+        elem = HeisenbergElement.from_word(each)
+        assert elem == functools.reduce(
+            operator.mul, (_letter_image(letter, each.d) for letter in each), HeisenbergElement.identity(each.d)
+        )
+        assert 0 not in elem._areas.values()
+    assert HeisenbergElement.from_word(cancelling) == HeisenbergElement.from_word(word)
+
+
+def test_word_over_three_hundred_axes_matches_the_line_integrals():
+    # Every one of 300 generators, each stepped forward and back at seeded
+    # places: 300 * 299 / 2 slots, more than 300 of them ending nonzero.
+    rng = random.Random(37)
+    letters = [Letter(axis, sign) for axis in range(1, 301) for sign in (1, -1)]
+    rng.shuffle(letters)
+    word = Word(letters + random_letters(rng, 300, 400), 300)
+    assert len({axis for axis, _ in word}) == 300
+    elem = HeisenbergElement.from_word(word)
+    areas = line_integral_areas(word)
+    assert dict(elem.areas()) == areas and len(areas) > 300
+    assert 0 not in elem._areas.values()
 
 
 def test_area_that_returns_to_zero_leaves_no_key():

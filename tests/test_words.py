@@ -205,6 +205,62 @@ def test_equal_images_folds_the_quotient():
         words.equal_images(fold, Word.identity(2), Word.identity(3))
 
 
+def _equal_images_edge_pairs():
+    # A reduced prefix of 10^4 letters that ends in x3, so that none of the
+    # tails below cancels into it.
+    rng = random.Random(63)
+    shared = [Letter(3, 1)]
+    while len(shared) < 10_000:
+        letter = Letter(rng.randint(1, 3), rng.choice((1, -1)))
+        if letter != shared[-1].inverse():
+            shared.append(letter)
+    shared.reverse()
+    tail = [Letter(1, 1), Letter(2, -1)]
+    for u, v, d in (
+        ([], [], 2),
+        (tail, tail, 2),
+        (shared, shared, 3),
+        (tail[:1], tail, 2),  # u a proper prefix of v
+        (tail, tail[:1], 2),  # v a proper prefix of u
+        ([], tail, 2),
+        (tail, [], 2),
+        ([Letter(1, 1), Letter(2, 1)], [Letter(1, -1), Letter(2, 1)], 2),  # first letters inverse
+        ([Letter(2, 1)], [Letter(1, 1), Letter(2, 1)], 2),  # first letters on other axes
+        (shared + tail, shared + [Letter(3, 1)], 3),
+        (shared + tail, shared, 3),
+        (shared, shared + tail, 3),
+    ):
+        assert len(Word(u, d)) == len(u) and len(Word(v, d)) == len(v)
+        yield Word(u, d), Word(v, d)
+
+
+@pytest.mark.parametrize("u, v", list(_equal_images_edge_pairs()))
+def test_equal_images_at_the_edges(u, v):
+    # The quotient is joined from the tails past the shared prefix: it must
+    # be the reduced ~u * v, made of Letters, whatever the prefix's length.
+    folded = []
+
+    def fold(word):
+        folded.append(word)
+        return evaluate_path(word)
+
+    assert words.equal_images(fold, u, v) == (evaluate_path(u) == evaluate_path(v))
+    quotient, empty = folded
+    assert quotient == ~u * v and empty == Word.identity(u.d)
+    assert quotient.letters == free_reduce([*(~u).letters, *v.letters])
+    assert all(type(letter) is Letter for letter in quotient.letters)
+
+
+@pytest.mark.parametrize("du, dv", [(2, 3), (3, 2), (1, 40)])
+def test_equal_images_refuses_other_ranks_as_the_product_does(du, dv):
+    u, v = Word([(1, 1)], du), Word([(1, 1)], dv)
+    with pytest.raises(RankMismatchError) as product:
+        ~u * v
+    with pytest.raises(RankMismatchError) as images:
+        words.equal_images(evaluate_path, u, v)
+    assert str(images.value) == str(product.value) == f"cannot concatenate ranks {du} and {dv}"
+
+
 def test_parse_letters_named_alphabet():
     letters = parse_letters("x y^-2 z", ("x", "y", "z"))
     assert letters == (Letter(1, 1), Letter(2, -1), Letter(2, -1), Letter(3, 1))
