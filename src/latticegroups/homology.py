@@ -115,7 +115,7 @@ class PlaquetteSum(Chain):
         entries = self._entries
         keys = sorted(entries)
         row = '{"base":' + _json_ints_template(self.d) + ',"i":%d,"j":%d,"mult":%d}'
-        return _json_rows(row, (*zip(*keys), map(entries.__getitem__, keys)), len(keys))
+        return _json_rows(row, (*zip(*keys), map(entries.__getitem__, keys)))
 
     def __str__(self) -> str:
         """The human text of the sorted entries: ``[(x, y):(i,j):+m, ...]``."""

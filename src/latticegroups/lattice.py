@@ -77,8 +77,9 @@ class _IntTexts(dict):
         return text
 
 
-# Coordinates and coefficients of the long answers are mostly small: a d = 3
-# walk of 2*10^4 random unit letters stays within about 250 of the origin.
+# Coordinates and coefficients of most answers are small: a d = 3 walk of
+# 2*10^4 random unit letters stays within about 250 of the origin. An int
+# past this, such as a long word's Heisenberg area, is written anew each time.
 _TEXT_MAX = 512
 
 
@@ -86,25 +87,20 @@ _TEXT_MAX = 512
 _int_texts = functools.cache(_IntTexts)
 
 
-# Fewer rows than this are written with one % each: below it, setting up the
-# joins costs more than they save.
-_JOINED_ROWS = 16
+def _json_rows(row: str, columns) -> str:
+    """The JSON array of rows, each ``row`` with its ``%d`` fields filled in
+    order from ``columns``: field c of row r is ``columns[c][r]``. This one
+    writer writes every JSON array of rows in the package.
 
-
-def _json_rows(row: str, columns, rows: int) -> str:
-    """The JSON array of ``rows`` rows, each ``row`` with its ``%d`` fields
-    filled in order from ``columns``: field c of row r is ``columns[c][r]``.
-
-    From _JOINED_ROWS rows on, each row is joined in C from one text per
-    field: the field's int followed by the fixed text up to the next field,
-    read from the table :func:`_int_texts` keeps for that fixed text. The
-    text before the first field joins the rows. ``%`` per row would parse
-    its template and format every int anew."""
-    if rows < _JOINED_ROWS:
-        return "[" + ",".join(map(row.__mod__, zip(*columns))) + "]"
+    Each row is joined in C from one text per field: the field's int followed
+    by the fixed text up to the next field, read from the table
+    :func:`_int_texts` keeps for that fixed text. The text before the first
+    field joins the rows. ``%`` per row would parse its template and format
+    every int anew."""
     head, *suffixes = row.split("%d")
     parts = [map(_int_texts(suffix).__getitem__, column) for column, suffix in zip(columns, suffixes)]
-    return "[" + head + ("," + head).join(map("".join, zip(*parts))) + "]"
+    body = ("," + head).join(map("".join, zip(*parts)))
+    return "[" + head + body + "]" if body else "[]"
 
 
 def _vec_text(values) -> str:
@@ -113,7 +109,8 @@ def _vec_text(values) -> str:
 
 
 def _rows(row: str, entries: dict) -> list[str]:
-    """``row % (*key, value)`` for each entry, sorted on the keys."""
+    """``row % (*key, value)`` for each entry, sorted on the keys: the rows of
+    a human text."""
     return [row % (*key, entries[key]) for key in sorted(entries)]
 
 
@@ -322,12 +319,12 @@ class EdgeFlow(Chain):
         """The canonical JSON text of the sorted entries:
         ``[{"axis":a,"base":[...],"mult":m},...]``."""
         entries = self._entries
-        if not entries:
+        if not entries:  # zip(*keys) of no keys has no axes to unpack
             return "[]"
         row = '{"axis":%d,"base":' + _json_ints_template(self.d) + ',"mult":%d}'
         keys = sorted(entries)
         *bases, axes = zip(*keys)
-        return _json_rows(row, (axes, *bases, map(entries.__getitem__, keys)), len(keys))
+        return _json_rows(row, (axes, *bases, map(entries.__getitem__, keys)))
 
     def __str__(self) -> str:
         """The human text of the sorted entries: ``[(x, y):axis:+m, ...]``."""

@@ -155,7 +155,7 @@ class FoxImage(_FoxFields):
         for component in self.derivatives:
             points = sorted(component)
             columns = (map(component.__getitem__, points), *zip(*points))
-            components.append(_json_rows(row, columns, len(points)))
+            components.append(_json_rows(row, columns))
         return (
             '{"derivatives":[' + ",".join(components) + '],"monomial":'
             + _json_ints(self.monomial) + "}"

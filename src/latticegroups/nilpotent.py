@@ -12,7 +12,7 @@ from itertools import compress
 from operator import index
 from typing import Mapping
 
-from .lattice import Vector, _accumulate, _json_ints, _rows, _vec_text, _vector, vec_add, vec_neg
+from .lattice import Vector, _accumulate, _json_ints, _json_rows, _rows, _vec_text, _vector, vec_add, vec_neg
 from .words import GroupElement, RankMismatchError, Word
 
 
@@ -104,8 +104,10 @@ class HeisenbergElement(GroupElement):
     def as_json(self) -> str:
         """The canonical JSON text:
         ``{"areas":[{"i":i,"j":j,"value":v},...],"endpoint":[...]}``."""
-        rows = _rows('{"i":%d,"j":%d,"value":%d}', self._areas)
-        return '{"areas":[' + ",".join(rows) + '],"endpoint":' + _json_ints(self.endpoint) + "}"
+        areas = self._areas
+        keys = sorted(areas)
+        rows = _json_rows('{"i":%d,"j":%d,"value":%d}', (*zip(*keys), map(areas.__getitem__, keys)))
+        return '{"areas":' + rows + ',"endpoint":' + _json_ints(self.endpoint) + "}"
 
     def __str__(self) -> str:
         areas = ", ".join(_rows("(%d,%d):%+d", self._areas))

@@ -32,7 +32,7 @@ class Letter(NamedTuple):
     sign: int
 
     def inverse(self) -> "Letter":
-        return Letter(self.axis, -self.sign)
+        return _new(Letter, (self.axis, -self.sign))
 
 
 _new = tuple.__new__  # _new(Letter, (axis, sign)) skips the named tuple's Python-level __new__
@@ -149,29 +149,25 @@ def _checked_letters(letters: Iterable, d: int) -> tuple:
     return letters
 
 
-class _Inverses(dict):
-    """A table from each letter met to its inverse, filled on first use: one
-    per call, so mapping a word through ``__getitem__`` runs in C and builds
-    one inverse per distinct letter."""
+class _LetterTable(dict):
+    """A table from each letter met to ``fill(letter)``, filled on first use:
+    one per call, so mapping a word through ``__getitem__`` runs in C and
+    calls ``fill`` once per distinct letter."""
 
-    __slots__ = ()
+    __slots__ = ("fill",)
 
-    def __missing__(self, letter):
-        axis, sign = letter
-        self[letter] = inverse = _new(Letter, (axis, -sign))
-        return inverse
-
-
-class _LetterTexts(dict):
-    """A table from each letter met to its text, ``x2`` or ``x2^-1``, filled
-    on first use: one per call, like :class:`_Inverses`."""
-
-    __slots__ = ()
+    def __init__(self, fill: Callable[[Letter], object]):
+        self.fill = fill
 
     def __missing__(self, letter):
-        axis, sign = letter
-        self[letter] = text = f"x{axis}" if sign > 0 else f"x{axis}^-1"
-        return text
+        self[letter] = value = self.fill(letter)
+        return value
+
+
+def _letter_text(letter: Letter) -> str:
+    """``x2`` or ``x2^-1``."""
+    axis, sign = letter
+    return f"x{axis}" if sign > 0 else f"x{axis}^-1"
 
 
 def commutator(a, b):
@@ -215,7 +211,7 @@ class Word(GroupElement):
         # cancel is found in C.
         left, right = self.letters, other.letters
         if left and right and left[-1] == (right[0][0], -right[0][1]):
-            inverse = _Inverses().__getitem__
+            inverse = _LetterTable(Letter.inverse).__getitem__
             mismatches = compress(count(), map(ne, reversed(left), map(inverse, right)))
             cancelled = next(mismatches, min(len(left), len(right)))
             left, right = left[: len(left) - cancelled], right[cancelled:]
@@ -224,7 +220,7 @@ class Word(GroupElement):
     def __invert__(self) -> "Word":
         # The inverse of a reduced word is reduced. Through a list, as in
         # free_reduce: tuple() of a map grows by resizing.
-        inverse = _Inverses().__getitem__
+        inverse = _LetterTable(Letter.inverse).__getitem__
         return Word._of(tuple(list(map(inverse, reversed(self.letters)))), self.d)
 
     def inverse(self) -> "Word":
@@ -254,7 +250,7 @@ class Word(GroupElement):
         differs = list(map(ne, tail, letters))
         starts = [0, *compress(count(1), differs), len(letters)]
         firsts = [letters[0], *compress(tail, differs)]
-        parts = list(map(_LetterTexts().__getitem__, firsts))
+        parts = list(map(_LetterTable(_letter_text).__getitem__, firsts))
         runs: dict[tuple[Letter, int], str] = {}
         for at in compress(count(), map(ne, map(sub, starts[1:], starts), repeat(1))):
             run = firsts[at], starts[at + 1] - starts[at]

@@ -1313,3 +1313,222 @@ def test_satellite_batch_lines_match_reference(commands):
         code, out, err = _run_main(["batch", str(path)])
     assert (code, err) == (0, "")
     assert out.split("\n") == [line for _, line, _ in commands for _ in range(2)] + [""]
+
+
+# --- the indexed verbs against perfbench/reference.py -----------------------
+
+# Straight runs of these lengths give flows, Fox components and
+# decompositions arrays of 0, 1, 15, 16, 17 and more rows.
+_ROWS = (0, 1, 15, 16, 17, 40)
+
+
+def _tokens(d, max_size=6):
+    """Word tokens (axis, exponent, written with '+') over x1..xd."""
+    exponent = st.integers(-9, 9).filter(bool)
+    return st.lists(st.tuples(st.integers(1, d), exponent, st.booleans()), max_size=max_size)
+
+
+def _indexed_tokens(d):
+    """Drawn tokens, or a run of one of the _ROWS lengths, alone or followed
+    by one more token."""
+    run = st.tuples(st.integers(1, d), st.sampled_from(_ROWS)).map(
+        lambda drawn: [(*drawn, False)] if drawn[1] else []
+    )
+    return st.one_of(_tokens(d), run, st.tuples(run, _tokens(d, 1)).map(lambda parts: parts[0] + parts[1]))
+
+
+def _inverse_tokens(tokens):
+    return [(axis, -exponent, False) for axis, exponent, _ in reversed(tokens)]
+
+
+def _commutator_tokens(a, b):
+    return a + b + _inverse_tokens(a) + _inverse_tokens(b)
+
+
+def _closed(tokens, d):
+    """``tokens`` walked back to the origin, along x1, then x2, and so on."""
+    ends = [sum(exponent for at, exponent, _ in tokens if at == axis) for axis in range(1, d + 1)]
+    return tokens + [(axis, -end, False) for axis, end in enumerate(ends, 1) if end]
+
+
+def _planar_loop():
+    """d = 2 tokens: an a x b rectangle of _ROWS-like plaquette counts, drawn
+    tokens walked back to the origin along x1 then x2, or drawn tokens alone,
+    which mostly stay open and are refused."""
+    sides = st.sampled_from(((1, 1), (3, 5), (4, 4), (17, 1), (5, 7)))
+    rectangle = sides.map(lambda ab: [(1, ab[0], False), (2, ab[1], False), (1, -ab[0], False), (2, -ab[1], False)])
+    return st.one_of(rectangle, _tokens(2).map(lambda tokens: _closed(tokens, 2)), _tokens(2))
+
+
+def _token_text(tokens, sep):
+    return sep.join(
+        f"x{axis}" if exponent == 1 and not plus else f"x{axis}^{'+' if plus and exponent > 0 else ''}{exponent}"
+        for axis, exponent, plus in tokens
+    )
+
+
+_SEPARATORS = st.sampled_from((" ", ".", " . "))
+
+
+def _indexed_answer(verb, group, d, json_flag, texts):
+    """The stdout line and exit code perfbench/reference.py gives for one
+    indexed verb on its positional ``texts``; None for the line of a refusal."""
+    if verb == "cocycle":
+        g1, g2 = (tuple(map(int, text.split(","))) for text in texts)
+        flow = ref.canonical(g1, g2)
+        return (ref.dumps(ref.flow_json(flow)) if json_flag else ref.fmt_flow(flow)), 0
+    letters = [ref.parse(text) for text in texts]
+    walks = [ref.walk(word, d) for word in letters]
+    end, flow = walks[0]
+    if verb in ("decompose", "area") and any(end):
+        return None, 2
+    if verb == "decompose":
+        coeffs = ref.plaquettes_2d(flow)
+        return (ref.dumps(ref.plaquettes_json(coeffs)) if json_flag else ref.fmt_plaquettes(coeffs)), 0
+    if verb == "area":
+        value = ref.area_2d(flow)
+        return (ref.dumps({"area": value}) if json_flag else str(value)), 0
+    if verb == "fox":
+        return (ref.dumps(ref.fox_json(end, flow, d)) if json_flag else ref.fmt_fox(end, flow, d)), 0
+    if verb == "eq":
+        images = [
+            {
+                "free": ref.free_reduce(word),
+                "abelian": end,
+                "heisenberg": (end, ref.areas(flow, d)),
+                "metabelian": (end, flow),
+            }[group]
+            for word, (end, flow) in zip(letters, walks)
+        ]
+        verdict = "equal" if images[0] == images[1] else "unequal"
+        return (ref.dumps({"verdict": verdict}) if json_flag else verdict), 0 if images[0] == images[1] else 1
+    if group == "free":
+        word = ref.word_text(ref.free_reduce(letters[0]))
+        return (ref.dumps({"word": word}) if json_flag else word), 0
+    if group == "abelian":
+        return (ref.dumps({"endpoint": list(end)}) if json_flag else ref.fmt_vec(end)), 0
+    if group == "heisenberg":
+        areas = ref.areas(flow, d)
+        if json_flag:
+            return ref.dumps({"endpoint": list(end), "areas": ref.areas_json(areas)}), 0
+        return f"endpoint={ref.fmt_vec(end)} areas={ref.fmt_areas(areas)}", 0
+    if json_flag:
+        return ref.dumps({"endpoint": list(end), "flow": ref.flow_json(flow)}), 0
+    return f"endpoint={ref.fmt_vec(end)} flow={ref.fmt_flow(flow)}", 0
+
+
+def _indexed_argv(verb, group, d, json_flag, texts, k=None):
+    """The argv of one indexed verb; ``k``, which no indexed group reads, is
+    passed to eval and eq."""
+    flags = ["--json"] if json_flag else []
+    if verb == "cocycle":
+        # After the vectors, which may start with a minus sign.
+        return ["cocycle", *texts, *flags]
+    if verb in ("eval", "eq"):
+        flags = ["--group", group, *(["--k", str(k)] if k is not None else []), *flags]
+    return [verb, "--d", str(d), *flags, *texts]
+
+
+def _indexed_case(verb, group, d, json_flag, texts, k=None):
+    return (_indexed_argv(verb, group, d, json_flag, texts, k), *_indexed_answer(verb, group, d, json_flag, texts))
+
+
+_INDEXED_GROUPS = ("free", "abelian", "heisenberg", "metabelian")
+# (verb, group), with None for a group eq draws or a verb that takes none.
+_INDEXED_VERBS = (
+    ("reduce", "free"), *(("eval", group) for group in _INDEXED_GROUPS), ("nf", "metabelian"),
+    ("fox", "metabelian"), ("eq", None), ("decompose", None), ("area", None), ("cocycle", None),
+)
+
+
+@st.composite
+def _indexed_command(draw):
+    """An indexed verb's argv with --d 1..4 (2 for decompose and area), with
+    or without --json and --k -3..3, and its stdout line and exit code by
+    the reference.
+    eq's second word is a drawn one, the first written with other
+    separators, or the first times a commutator or a double commutator: the
+    second is equal to it in the abelian group, the third in every group but
+    the free one."""
+    verb, group = draw(st.sampled_from(_INDEXED_VERBS))
+    if verb == "eq":
+        group = draw(st.sampled_from(_INDEXED_GROUPS))
+    json_flag = draw(st.booleans())
+    d = 2 if verb in ("decompose", "area") else draw(st.integers(1, 4))
+    if verb == "cocycle":
+        vector = st.lists(st.integers(-6, 6), min_size=d, max_size=d).map(lambda v: ",".join(map(str, v)))
+        texts = [draw(vector), draw(vector)]
+    elif verb in ("decompose", "area"):
+        texts = [_token_text(draw(_planar_loop()), draw(_SEPARATORS))]
+    else:
+        tokens = draw(_indexed_tokens(d))
+        texts = [_token_text(tokens, draw(_SEPARATORS))]
+        if verb == "eq":
+            a, b, c, e = (draw(_tokens(d, 2)) for _ in range(4))
+            other = draw(st.one_of(
+                _indexed_tokens(d),
+                st.just(tokens),
+                st.just(tokens + _commutator_tokens(a, b)),
+                st.just(tokens + _commutator_tokens(_commutator_tokens(a, b), _commutator_tokens(c, e))),
+            ))
+            texts.append(_token_text(other, draw(_SEPARATORS)))
+    return _indexed_case(verb, group, d, json_flag, texts, draw(st.one_of(st.none(), st.integers(-3, 3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_indexed_command())
+@example(_indexed_case("cocycle", None, 2, True, ["-1,3", "2,0"]))
+@example(_indexed_case("decompose", None, 2, True, ["x1^4 x2^4 x1^-4 x2^-4"]))
+@example(_indexed_case("eval", "metabelian", 3, True, ["x2^16"]))
+@example(_indexed_case("fox", "metabelian", 4, True, ["x4^-15 x1"]))
+@example(_indexed_case("eval", "heisenberg", 1, True, ["x1^-3"]))
+def test_indexed_verbs_match_reference(command):
+    argv, out, code = command
+    got_code, got_out, got_err = _run_main(argv)
+    if out is None:
+        assert (got_code, got_out) == (code, "")
+        assert got_err.startswith("error: ")
+    else:
+        assert (got_code, got_out, got_err) == (code, out + "\n", "")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_indexed_command(), min_size=1, max_size=8))
+def test_indexed_batch_lines_match_reference(commands):
+    # Each line twice: the second read of every token and word text is a warm one.
+    lines = [shlex.join(argv) for argv, _, _ in commands for _ in range(2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = _run_main(["batch", str(path)])
+    assert (code, err) == (0, "")
+    results = out.split("\n")
+    assert results.pop() == ""
+    expected = [line for _, line, _ in commands for _ in range(2)]
+    assert len(results) == len(expected)
+    for result, line in zip(results, expected):
+        assert result.startswith("error: ") if line is None else result == line
+
+
+def _plaquette_boundary(base, i, j, mult):
+    """The reference flow of mult times the unit square at ``base`` in the
+    (i, j) plane, walked along i, j, back along i, back along j."""
+    step_i = tuple(int(axis == i) for axis in range(1, len(base) + 1))
+    step_j = tuple(int(axis == j) for axis in range(1, len(base) + 1))
+    shifted = [tuple(map(sum, zip(base, step))) for step in (step_i, step_j)]
+    return {(tuple(base), i): mult, (shifted[0], j): mult, (shifted[1], i): -mult, (tuple(base), j): -mult}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 4).flatmap(lambda d: st.tuples(st.just(d), _tokens(d, 8))), _SEPARATORS)
+def test_decompose_in_higher_rank_has_the_word_as_boundary(drawn, sep):
+    # A d >= 3 decomposition is not unique, so it is checked by its boundary.
+    d, tokens = drawn
+    text = _token_text(_closed(tokens, d), sep)
+    code, out, err = _run_main(["decompose", "--d", str(d), "--json", text])
+    assert (code, err) == (0, "")
+    boundary = {}
+    for plaquette in json.loads(out):
+        assert 1 <= plaquette["i"] < plaquette["j"] <= d
+        ref.add_into(boundary, _plaquette_boundary(**plaquette))
+    assert boundary == ref.walk(ref.parse(text), d)[1]
