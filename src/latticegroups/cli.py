@@ -12,6 +12,7 @@ import argparse
 import functools
 import gc
 import io
+import os
 import re
 import sys
 
@@ -148,7 +149,7 @@ def _load_perturbation(path: str) -> list:
     # package reads, so no other CLI launch pays for loading it.
     import json
 
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         # Not UTF-8, not JSON, or nested deeper than the parser goes: refused
@@ -209,8 +210,9 @@ _DISCARD = _Discard()
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that builds no usage or help text while that text
     would be dropped, as a batch line's is: argparse would format the whole
-    usage before a refusal, and the whole help for -h, which costs more
-    than the parse."""
+    usage of a refused line (65-85 us, more than the parse) and the whole
+    help for -h, which leaves 34 cyclic objects (2.4 KB) while main pauses
+    the collector: 10^5 -h lines would hold 240 MB until the batch ends."""
 
     def error(self, message):
         if sys.stderr is _DISCARD:
@@ -249,19 +251,12 @@ def _run_line(tokens: list[str]) -> tuple[str | None, str | None, int]:
 # string (in which a backslash escapes only '"' and itself), or a backslash
 # escape; the blanks between arguments are " \t\r\n". Where no piece starts,
 # at an unclosed quote or at a backslash that ends the line, the pattern
-# makes an empty match, which no argument is. Every pattern is compiled on
-# first use, not at import, which each CLI launch pays for.
+# makes an empty match, which no argument is. The re module compiles and
+# caches each pattern on first use; at import, each CLI launch would pay.
 _ARGUMENT = r"""(?:[^ \t\r\n'"\\]+|'[^']*'|"[^"\\]*(?:\\.[^"\\]*)*"|\\.)+|(?=['"\\])"""
 _QUOTED_PIECE = r"""'([^']*)'|"([^"\\]*(?:\\.[^"\\]*)*)"|\\(.)"""
 _OPEN_DOUBLE = r'"[^"\\]*(?:\\.[^"\\]*)*'
 _DOUBLE_ESCAPE = r'\\(["\\])'
-
-
-@functools.cache
-def _argument_pattern() -> re.Pattern:
-    """:data:`_ARGUMENT`, compiled once; the rarer patterns go through the
-    re module's own cache."""
-    return re.compile(_ARGUMENT, re.DOTALL)
 
 
 def _unquoted(piece: re.Match) -> str:
@@ -281,10 +276,10 @@ def _split_line(line: str) -> list[str]:
     holds only plain runs and '...' strings, which hold no quote, so
     dropping its single quotes unquotes it; only the others are read piece
     by piece."""
-    argument = _argument_pattern()
-    args = argument.findall(line)
+    args = re.findall(_ARGUMENT, line, re.DOTALL)
     if "" in args:
-        rest = line[next(match.start() for match in argument.finditer(line) if not match.group()) :]
+        matches = re.finditer(_ARGUMENT, line, re.DOTALL)
+        rest = line[next(match.start() for match in matches if not match.group()) :]
         if rest[0] == '"':
             rest = rest[re.match(_OPEN_DOUBLE, rest, re.DOTALL).end() :]
         raise ValueError("No escaped character" if rest == "\\" else "No closing quotation")
@@ -299,11 +294,13 @@ def _split_line(line: str) -> list[str]:
 def _cmd_batch(args) -> tuple[str | None, int]:
     # A line ends at "\n" only, not at the other breaks str.splitlines knows
     # (such as "\f" or U+2028), and one "\r" before it is dropped (CRLF).
-    with open(args.file, "r", encoding="utf-8", newline="") as handle:
+    with open(args.file, "r", encoding="utf-8-sig", newline="") as handle:
         lines = handle.read().split("\n")
     if not lines[-1]:
         lines.pop()  # the text after the last "\n" is a line only if non-empty
     lines = [line.removesuffix("\r") for line in lines]
+    eq_prefix = ["eq", "--group", args.group, "--d", str(args.d), "--k", str(args.k)]
+    eq_prefix += ["--json"] if args.json else []
     outputs = []
     for line in lines:
         if not line.strip():
@@ -318,8 +315,7 @@ def _cmd_batch(args) -> tuple[str | None, int]:
             if len(tokens) != 2:
                 outputs.append("error: expected two words per line")
                 continue
-            flags = ["--group", args.group, "--d", str(args.d), "--k", str(args.k)]
-            tokens = ["eq", *flags, *(["--json"] if args.json else []), *tokens]
+            tokens = [*eq_prefix, *tokens]
         output, error, _code = _run_line(tokens)
         outputs.append(f"error: {error}" if error is not None else output)
     # None, not "": main would print "" as one blank line for no input line.
@@ -457,7 +453,8 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     option takes the next token as its value, and a repeated option's last
     value wins. Anything else (help, "--", "--opt=value", an abbreviation,
     an unknown option, a bad value, a missing or extra positional, a missing
-    required option) gives None, and argparse decides."""
+    required option) gives None, and argparse decides. Before this reader,
+    argparse took about 0.57 s of a 1.83 s in-process batch_small pass."""
     _, verbs = _parser()
     if not argv or argv[0] not in verbs:
         return None
@@ -497,23 +494,13 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, parsed once: :func:`_read_argv` reads the
-    plain argv of nearly every call and batch line, and a known verb's other
-    argv goes to its subparser directly (the top-level parser would classify
-    every token, then hand ``argv[1:]`` to the subparser to do it again).
-    Everything else (no arguments, a leading option, an unknown verb, or
-    arguments the subparser leaves over) goes to the top-level parser, which
-    reads, refuses or answers (help) it and writes its own text."""
+    """``parser.parse_args(argv)``: :func:`_read_argv` reads the plain argv
+    of every valid call and batch line it knows, and everything else (help,
+    an abbreviation, "--opt=value", a refusal) goes to the top-level parser,
+    which hands a known verb's tokens to its subparser, and reads, refuses
+    or answers (help) the argv and writes its own text."""
     args = _read_argv(argv)
-    if args is not None:
-        return args
-    parser, verbs = _parser()
-    if argv and argv[0] in verbs:
-        args, extras = verbs[argv[0]][0].parse_known_args(argv[1:])
-        if not extras:
-            args.verb = argv[0]
-            return args
-    return parser.parse_args(argv)
+    return _parser()[0].parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
@@ -527,18 +514,25 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
         output, code = globals()[args.handler](args)
     except SystemExit as exc:  # argparse refused the argv, or printed help
-        return 2 if exc.code else 0
+        output, code = None, (2 if exc.code else 0)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    else:
-        # Outside the handlers: a failed write raises, not an error: line.
-        if output is not None:
-            print(output)
-        return code
     finally:
         if enabled:
             gc.enable()
+    # A reader that closed stdout gets one error line and exit 2, not a
+    # traceback; fd 1 then points at devnull, so the exit flush cannot fail.
+    try:
+        if output is not None:
+            print(output, flush=True)
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -3,8 +3,11 @@ import contextlib
 import gc
 import io
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -315,6 +318,14 @@ def test_unreadable_perturbation_is_a_bad_file(content, tmp_path, capsys):
     lines = captured.out.splitlines()
     assert lines[0].startswith(f"error: bad perturbation file {str(path)!r}: expected ")
     assert lines[1:] == ["x1"] and captured.err == ""
+
+
+def test_perturbation_with_byte_order_mark(tmp_path, capsys):
+    # A BOM'd file reads as the same file without it.
+    path = tmp_path / "perturb.json"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(PERTURB).read_bytes())
+    assert main(["beta", "--k", "2", "--perturb", str(path), "--json"]) == 0
+    assert capsys.readouterr() == ((GOLDEN / "beta_perturbed.txt").read_text(encoding="utf-8"), "")
 
 
 def test_batch_unclosed_quote_marks_only_its_line(capsys):
@@ -873,8 +884,9 @@ def test_drawn_parse_matches_full_parser(argv):
 
 def test_batch_parses_each_line_once(tmp_path, monkeypatch, capsys):
     # A call or line of exact options, their values and positionals is read
-    # without argparse; an abbreviated option or "--opt=value" takes one
-    # parse_known_args, its verb's, and answers as the plain line does.
+    # without argparse; an abbreviated option or "--opt=value" goes to the
+    # top-level parser, which hands it to the verb's parser, and answers as
+    # the plain line does.
     plain = ['reduce "x1 x1^-1 x2"', "cocycle -1,3 2,0", "beta --k -2", "eq --group free x1 x1", "eval --group abelian --d 3 x1"]
     commands = tmp_path / "commands.txt"
     commands.write_text("\n".join(plain) + "\n", encoding="utf-8")
@@ -893,10 +905,11 @@ def test_batch_parses_each_line_once(tmp_path, monkeypatch, capsys):
         commands.write_text(line + "\n", encoding="utf-8")
         assert main(["batch", str(commands)]) == 0
         assert capsys.readouterr().out == answers.split("\n")[-2] + "\n"
-        assert calls == ["latticegroups eval"]
+        assert calls == ["latticegroups", "latticegroups eval"]
         calls.clear()
         assert main(shlex.split(line)) == 0
-        assert capsys.readouterr().out == "(1, 0, 0)\n" and calls == ["latticegroups eval"]
+        assert capsys.readouterr().out == "(1, 0, 0)\n"
+        assert calls == ["latticegroups", "latticegroups eval"]
         calls.clear()
 
 
@@ -970,6 +983,44 @@ def test_batch_reads_crlf_lines(tmp_path, capsys):
     assert main(["batch", str(commands)]) == 0
     golden = (GOLDEN / "cocycle_negative.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == "x2\n\n" + golden + "error: No escaped character\n"
+
+
+def test_batch_reads_past_byte_order_mark(tmp_path, capsys):
+    # Only the BOM that starts the file is dropped: one that starts a later
+    # line is part of that line's verb.
+    commands = tmp_path / "commands.txt"
+    commands.write_bytes("\ufeffreduce x1\n\ufeffreduce x2\nreduce x2\n".encode())
+    assert main(["batch", str(commands)]) == 0
+    assert capsys.readouterr() == ("x1\nerror: bad arguments\nx2\n", "")
+
+
+def _cli_process():
+    """The argv and environment of a fresh ``python -m latticegroups.cli``."""
+    src = str(Path(latticegroups.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return [sys.executable, "-m", "latticegroups.cli"], env
+
+
+def test_closed_stdout_exits_2_without_traceback(tmp_path):
+    # An answer larger than a pipe holds, so the writer meets the closed pipe.
+    commands = tmp_path / "commands.txt"
+    commands.write_text('reduce "%s"\n' % " ".join(["x1 x2"] * 10**5), encoding="utf-8")
+    cli_argv, env = _cli_process()
+    argv = [*cli_argv, "batch", str(commands)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(5) == b"x1 x2"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_no_stdout_at_launch_answers_nowhere():
+    # With fd 1 closed before the interpreter starts, sys.stdout is None.
+    cli_argv, env = _cli_process()
+    run = subprocess.run([*cli_argv, "beta", "--k", "1"], env=env, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert (run.returncode, run.stderr) == (0, b"")
 
 
 def _split_outcome(split, line):
